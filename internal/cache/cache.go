@@ -21,7 +21,11 @@ import (
 type Key [32]byte
 
 // String renders the key as lowercase hex.
-func (k Key) String() string { return hex.EncodeToString(k[:]) }
+func (k Key) String() string {
+	var b [2 * len(Key{})]byte
+	hex.Encode(b[:], k[:])
+	return string(b[:])
+}
 
 // ParseKey decodes the hex rendering String produces. The cluster layer's
 // cache-transfer protocol carries keys this way (entries travel as JSON),

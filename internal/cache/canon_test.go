@@ -111,11 +111,11 @@ func TestRequestKeySensitivity(t *testing.T) {
 
 // TestRequestKeyCoversConfig pins the field counts of sim.Config and of its
 // fault.Plan / sim.Recover sub-structs: when a field (or knob) is added,
-// this fails until writeConfig / the Canon methods (and the sensitivity
+// this fails until appendConfig / the Canon methods (and the sensitivity
 // tables above) are extended, keeping the canonical encoding exhaustive.
 func TestRequestKeyCoversConfig(t *testing.T) {
 	if n := reflect.TypeOf(sim.Config{}).NumField(); n != 13 {
-		t.Errorf("sim.Config has %d fields; update cache.writeConfig and this test (encodes 13)", n)
+		t.Errorf("sim.Config has %d fields; update cache.appendConfig and this test (encodes 13)", n)
 	}
 	if n := reflect.TypeOf(fault.Plan{}).NumField(); n != 19 {
 		t.Errorf("fault.Plan has %d fields; update fault.Plan.Canon and this test (encodes 19)", n)

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"github.com/csrd-repro/datasync/internal/cache"
+	"github.com/csrd-repro/datasync/internal/service"
 )
 
 // hasBatch caps the keys per /internal/has query.
@@ -64,7 +65,7 @@ func (n *Node) handleHas(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req hasRequest
-	if err := strictUnmarshal(body, &req); err != nil {
+	if err := service.DecodeStrict(body, &req); err != nil {
 		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode has query: %w", err))
 		return
 	}

@@ -229,7 +229,7 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req HandoffRequest
-	if err := strictUnmarshal(body, &req); err != nil {
+	if err := service.DecodeStrict(body, &req); err != nil {
 		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode handoff: %w", err))
 		return
 	}
@@ -264,7 +264,7 @@ func (n *Node) handleDeparting(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req departingRequest
-	if err := strictUnmarshal(body, &req); err != nil {
+	if err := service.DecodeStrict(body, &req); err != nil {
 		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode departure: %w", err))
 		return
 	}

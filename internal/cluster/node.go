@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -562,9 +561,9 @@ func (n *Node) Handler() http.Handler {
 	return n.middleware(n.srv.Handler())
 }
 
-// maxBody mirrors the service's request cap; the router reads the body to
-// compute the canon key, then replays it into the inner handler.
-const maxBody = 1 << 20
+// maxBody caps the bodies of the peer-internal endpoints, like the
+// service's own request cap.
+const maxBody = service.MaxBody
 
 func (n *Node) middleware(inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -650,42 +649,39 @@ func (n *Node) middleware(inner http.Handler) http.Handler {
 	})
 }
 
-// routeOrServe computes the request's canonical content address and serves
-// it locally when this node owns it, otherwise forwards it to the owner.
-// Requests whose key cannot be computed (malformed JSON, unknown workload)
-// fall through to the local handler, which owns the error vocabulary.
+// routeOrServe parses the request once — decode, build, canonical content
+// address — and serves it locally when this node owns it, otherwise
+// forwards it to the owner. The parse travels to the handler in the
+// request context, so a locally served request is not decoded again.
+// Requests that do not parse to a key (malformed or oversized body,
+// unknown workload) are served locally: the handler owns the error
+// vocabulary.
 //
 // When a forward fails, the failed peer is demoted and the loop re-reads
 // the live ring, so the next iteration targets the key's successor — the
 // replica holder, by construction of K-successor replication. Owner loss
 // thus degrades to a replica read before it degrades to a recompute.
 func (n *Node) routeOrServe(w http.ResponseWriter, r *http.Request, inner http.Handler) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
-	if err != nil {
-		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: read request: %w", err))
-		return
-	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-
-	key, ok := requestKey(r.URL.Path, body)
-	if !ok {
+	p := service.ParseRequest(w, r)
+	r = service.WithParsed(r, p)
+	if !p.Keyed() {
 		n.serveLocal(w, r, inner)
 		return
 	}
 	for attempt := 0; attempt <= n.opts.Replicas; attempt++ {
-		owner := n.ring.Load().Owner(key)
+		owner := n.ring.Load().Owner(p.Key)
 		if owner.ID == n.self.ID {
-			n.serveKeyed(w, r, inner, key, body)
+			n.serveKeyed(w, r, inner, p.Key)
 			return
 		}
-		if done := n.forward(w, r, owner, body); done {
+		if done := n.forward(w, r, owner, p.Body); done {
 			return
 		}
 	}
 	// Every routable peer is unreachable: this node — a survivor — serves
 	// the request itself. Determinism makes that safe: any node computes
 	// the same bytes.
-	n.serveKeyed(w, r, inner, key, body)
+	n.serveKeyed(w, r, inner, p.Key)
 }
 
 func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, inner http.Handler) {
@@ -698,7 +694,7 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, inner http.Han
 // node is standing in for it — a local cache entry then is a replica hit
 // (handoff or replication paid off), a miss means recompute. The counters
 // measure exactly what replication is for.
-func (n *Node) serveKeyed(w http.ResponseWriter, r *http.Request, inner http.Handler, key cache.Key, body []byte) {
+func (n *Node) serveKeyed(w http.ResponseWriter, r *http.Request, inner http.Handler, key cache.Key) {
 	if n.full.Owner(key).ID != n.self.ID {
 		if n.srv.CacheHas(key) {
 			n.replicaHits.Add(1)
@@ -706,46 +702,7 @@ func (n *Node) serveKeyed(w http.ResponseWriter, r *http.Request, inner http.Han
 			n.replicaMisses.Add(1)
 		}
 	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
 	n.serveLocal(w, r, inner)
-}
-
-// requestKey computes the canonical content address for a routable POST
-// body. ok=false means the body does not decode into a keyable request —
-// the local handler will produce the authoritative error.
-func requestKey(path string, body []byte) (cache.Key, bool) {
-	switch path {
-	case "/run":
-		var req service.RunRequest
-		if err := strictUnmarshal(body, &req); err != nil {
-			return cache.Key{}, false
-		}
-		k, err := service.RunKey(req)
-		return k, err == nil
-	case "/verify":
-		var req service.VerifyRequest
-		if err := strictUnmarshal(body, &req); err != nil {
-			return cache.Key{}, false
-		}
-		k, err := service.VerifyKey(req)
-		return k, err == nil
-	case "/compile":
-		var req service.CompileRequest
-		if err := strictUnmarshal(body, &req); err != nil {
-			return cache.Key{}, false
-		}
-		k, err := service.CompileRequestKey(req)
-		return k, err == nil
-	}
-	return cache.Key{}, false
-}
-
-// strictUnmarshal mirrors the service's strict decoding so the router and
-// the handler agree on what constitutes a well-formed request.
-func strictUnmarshal(body []byte, dst any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	return dec.Decode(dst)
 }
 
 // statusClientClosedRequest is the nginx-conventional status for "the

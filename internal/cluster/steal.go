@@ -75,15 +75,18 @@ func (n *Node) coordinateSweep(w http.ResponseWriter, r *http.Request, inner htt
 		return
 	}
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
+	body, err := service.ReadBody(w, r)
 	if err != nil {
-		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: read request: %w", err))
+		// Answered as the handler would: 413 past the cap, 400 otherwise.
+		var de *service.DecodeError
+		errors.As(err, &de)
+		n.writeError(w, de.Code, err)
 		return
 	}
 	r.Body = io.NopCloser(bytes.NewReader(body))
 
 	var req service.SweepRequest
-	if err := strictUnmarshal(body, &req); err != nil {
+	if err := service.DecodeStrict(body, &req); err != nil {
 		n.serveLocal(w, r, inner)
 		return
 	}

@@ -198,10 +198,11 @@ func compileSchemeNames(specs []SchemeSpec) ([]string, error) {
 // request that lowers zero loops is an input error: 400 with the first
 // positioned diagnostic in the error field plus the full rejection list.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	var req CompileRequest
-	if !s.decode(w, r, &req) {
+	p, ok := s.parsed(w, r)
+	if !ok {
 		return
 	}
+	req := p.Compile
 	if req.Source == "" {
 		s.httpError(w, http.StatusBadRequest, fmt.Errorf("compile: source required"))
 		return
@@ -210,15 +211,15 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if filename == "" {
 		filename = "input.go"
 	}
-	if err := req.Config.SimConfig().Check(); err != nil {
+	if err := p.Config.Check(); err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	key, err := CompileRequestKey(req)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
+	if p.KeyErr != nil {
+		s.httpError(w, http.StatusBadRequest, p.KeyErr)
 		return
 	}
+	key := p.Key
 	v, hit, err := s.cache.Do(key, func() (any, error) {
 		return s.executeCompile(r.Context(), filename, req)
 	})

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 
@@ -34,14 +34,20 @@ func (h *histogram) observe(sec float64) {
 // text exposition format together with pool and cache gauges.
 type Metrics struct {
 	mu       sync.Mutex
-	requests map[string]int64 // "route|code" -> count
-	jobLat   map[string]*histogram
+	requests map[requestLabel]int64
+	jobLat   map[string]*histogram // by scheme family
+}
+
+// requestLabel is the label set of one dsserve_requests_total series.
+type requestLabel struct {
+	route string
+	code  int
 }
 
 // NewMetrics builds an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		requests: make(map[string]int64),
+		requests: make(map[requestLabel]int64),
 		jobLat:   make(map[string]*histogram),
 	}
 }
@@ -49,12 +55,13 @@ func NewMetrics() *Metrics {
 // ObserveRequest counts one finished HTTP request.
 func (m *Metrics) ObserveRequest(route string, code int) {
 	m.mu.Lock()
-	m.requests[fmt.Sprintf("%s|%d", route, code)]++
+	m.requests[requestLabel{route, code}]++
 	m.mu.Unlock()
 }
 
 // ObserveJob records one executed (non-cached) job's latency under its
-// scheme name.
+// scheme family (SchemeSpec.Name): parameterized names would mint one
+// series per client-chosen parameter value.
 func (m *Metrics) ObserveJob(scheme string, d time.Duration) {
 	m.mu.Lock()
 	h := m.jobLat[scheme]
@@ -105,18 +112,18 @@ func (m *Metrics) Render(w io.Writer, pool *Pool, cs cache.Stats, res Resilience
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	keys := make([]string, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
+	labels := make([]requestLabel, 0, len(m.requests))
+	for l := range m.requests {
+		labels = append(labels, l)
 	}
-	sort.Strings(keys)
+	// Ordered as the rendered "route|code" strings sort, as before the
+	// counters were keyed by struct.
+	sort.Slice(labels, func(i, j int) bool {
+		return labels[i].route+"|"+strconv.Itoa(labels[i].code) < labels[j].route+"|"+strconv.Itoa(labels[j].code)
+	})
 	fmt.Fprintf(w, "# TYPE dsserve_requests_total counter\n")
-	for _, k := range keys {
-		route, code := k, ""
-		if i := strings.LastIndexByte(k, '|'); i >= 0 {
-			route, code = k[:i], k[i+1:]
-		}
-		fmt.Fprintf(w, "dsserve_requests_total{route=%q,code=%q} %d\n", route, code, m.requests[k])
+	for _, l := range labels {
+		fmt.Fprintf(w, "dsserve_requests_total{route=%q,code=\"%d\"} %d\n", l.route, l.code, m.requests[l])
 	}
 
 	schemes := make([]string, 0, len(m.jobLat))

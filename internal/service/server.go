@@ -217,55 +217,6 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// ---- canonical content addresses ----
-//
-// These are the single source of request identity, shared by the handlers
-// (cache addressing) and the cluster router (ownership): a request's canon
-// key decides both where its result is cached and which node owns it, so
-// the two can never disagree.
-
-// RunKey computes the canonical content address of a run request.
-func RunKey(req RunRequest) (cache.Key, error) {
-	wl, err := req.Workload.Build()
-	if err != nil {
-		return cache.Key{}, err
-	}
-	sch, err := req.Scheme.Build()
-	if err != nil {
-		return cache.Key{}, err
-	}
-	return cache.RequestKey(wl, sch.Name(), req.Config.SimConfig()), nil
-}
-
-// VerifyKey computes the canonical content address of a verify request: the
-// run address extended with the verification-mode discriminator.
-func VerifyKey(req VerifyRequest) (cache.Key, error) {
-	wl, err := req.Workload.Build()
-	if err != nil {
-		return cache.Key{}, err
-	}
-	sch, err := req.Scheme.Build()
-	if err != nil {
-		return cache.Key{}, err
-	}
-	return cache.RequestKey(wl, sch.Name(), req.Config.SimConfig(),
-		fmt.Sprintf("mode=verify dynamic=%v maxIters=%d", req.Dynamic, req.MaxIters)), nil
-}
-
-// CompileRequestKey computes the canonical content address of a compile
-// request (defaults applied, scheme selection canonicalized to built names).
-func CompileRequestKey(req CompileRequest) (cache.Key, error) {
-	filename := req.Filename
-	if filename == "" {
-		filename = "input.go"
-	}
-	names, err := compileSchemeNames(req.Schemes)
-	if err != nil {
-		return cache.Key{}, err
-	}
-	return cache.CompileKey(filename, []byte(req.Source), names, req.Config.SimConfig()), nil
-}
-
 // ---- evaluation ----
 
 // runResult is the cache value for /run: everything except the per-request
@@ -282,13 +233,18 @@ func (s *Server) evalRun(ctx context.Context, wl *codegen.Workload, sspec Scheme
 	if err != nil {
 		return RunResponse{}, false, err
 	}
+	return s.evalRunKeyed(ctx, wl, sspec, cfg, cache.RequestKey(wl, sch.Name(), cfg))
+}
+
+// evalRunKeyed is evalRun for a request whose scheme already built and
+// whose address is known.
+func (s *Server) evalRunKeyed(ctx context.Context, wl *codegen.Workload, sspec SchemeSpec, cfg sim.Config, key cache.Key) (RunResponse, bool, error) {
 	if err := cfg.Check(); err != nil {
 		return RunResponse{}, false, err
 	}
 	if ok, retryAfter := s.breaker.Allow(); !ok {
 		return RunResponse{}, false, &breakerError{retryAfter: retryAfter}
 	}
-	key := cache.RequestKey(wl, sch.Name(), cfg)
 	v, hit, err := s.cache.Do(key, func() (any, error) {
 		return s.executeRun(ctx, wl, sspec, cfg)
 	})
@@ -334,7 +290,9 @@ func (s *Server) executeRun(ctx context.Context, wl *codegen.Workload, sspec Sch
 		}
 		res, err := s.simRun(wl, sch, cfg)
 		if err == nil {
-			s.metrics.ObserveJob(sch.Name(), time.Since(start))
+			// Labelled by scheme family, not the parameterized name: a
+			// client-chosen x or g must not mint a new series.
+			s.metrics.ObserveJob(sspec.Name, time.Since(start))
 		}
 		s.observeOutcome(res, err)
 		done <- outcome{res: res, err: err}
@@ -415,62 +373,52 @@ func patientCtx(ctx context.Context) context.Context {
 // ---- handlers ----
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if !s.decode(w, r, &req) {
+	p, ok := s.parsed(w, r)
+	if !ok {
 		return
 	}
-	wl, err := req.Workload.Build()
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
+	if p.KeyErr != nil {
+		s.httpError(w, http.StatusBadRequest, p.KeyErr)
 		return
 	}
-	resp, _, err := s.evalRun(r.Context(), wl, req.Scheme, req.Config.SimConfig())
+	resp, _, err := s.evalRunKeyed(r.Context(), p.Workload, p.Run.Scheme, p.Config, p.Key)
 	if err != nil {
 		s.evalError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeRun(w, &resp)
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	var req VerifyRequest
-	if !s.decode(w, r, &req) {
+	p, ok := s.parsed(w, r)
+	if !ok {
 		return
 	}
+	req := &p.Verify
 	if !req.Scheme.Verifiable() {
 		s.httpError(w, http.StatusBadRequest,
 			fmt.Errorf("scheme %q is not statically verifiable (outer-loop pipelining is outside the iteration-indexed happens-before model)", req.Scheme.Name))
 		return
 	}
-	wl, err := req.Workload.Build()
-	if err != nil {
+	if p.KeyErr != nil {
+		s.httpError(w, http.StatusBadRequest, p.KeyErr)
+		return
+	}
+	if err := p.Config.Check(); err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if _, err := req.Scheme.Build(); err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := req.Config.SimConfig().Check(); err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	key, err := VerifyKey(req)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	v, hit, err := s.cache.Do(key, func() (any, error) {
-		return s.executeVerify(r.Context(), wl, req)
+	v, hit, err := s.cache.Do(p.Key, func() (any, error) {
+		return s.executeVerify(r.Context(), p.Workload, *req)
 	})
-	s.notifyFill(key, v, hit, err)
+	s.notifyFill(p.Key, v, hit, err)
 	if err != nil {
 		s.evalError(w, err)
 		return
 	}
 	resp := *v.(*VerifyResponse)
 	resp.Cached = hit
-	resp.Key = key.String()
+	resp.Key = p.Key.String()
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -577,18 +525,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // ---- plumbing ----
 
-// decode parses a JSON body strictly; unknown fields are an input error so
-// a typo'd parameter fails loudly instead of silently taking a default.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return false
-	}
-	return true
-}
-
 // evalError maps evaluation failures to HTTP: backpressure to 429 +
 // Retry-After, cancellation to 503, everything else to 400 (the request
 // described an unrunnable job: bad spec, deadlocking scheme, livelock cap).
@@ -617,6 +553,25 @@ func (s *Server) evalError(w http.ResponseWriter, err error) {
 
 func (s *Server) httpError(w http.ResponseWriter, code int, err error) {
 	s.writeJSON(w, code, errorResponse{Error: OneLine(err)})
+}
+
+// writeRun renders a /run answer through the reflection-free encoder
+// (runjson.go), falling back to writeJSON for the values encoding/json
+// refuses, so even its error path is the same.
+func (s *Server) writeRun(w http.ResponseWriter, resp *RunResponse) {
+	bp := runBufs.Get().(*[]byte)
+	b, ok := appendRunResponse((*bp)[:0], resp)
+	if !ok {
+		s.writeJSON(w, http.StatusOK, *resp)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(b)
+	}
+	if cap(b) <= maxPooledRun {
+		*bp = b[:0]
+		runBufs.Put(bp)
+	}
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
@@ -648,13 +603,13 @@ func (s *Server) logged(next http.Handler) http.Handler {
 		next.ServeHTTP(sw, r)
 		route := r.URL.Path
 		s.metrics.ObserveRequest(route, sw.code)
-		s.log.Info("request",
-			"method", r.Method,
-			"route", route,
-			"status", sw.code,
-			"dur_ms", float64(time.Since(start).Microseconds())/1000,
-			"queue", s.pool.QueueDepth(),
-			"inflight", s.pool.InFlight(),
+		s.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
+			slog.String("method", r.Method),
+			slog.String("route", route),
+			slog.Int("status", sw.code),
+			slog.Float64("dur_ms", float64(time.Since(start).Microseconds())/1000),
+			slog.Int("queue", s.pool.QueueDepth()),
+			slog.Int64("inflight", s.pool.InFlight()),
 		)
 	})
 }
