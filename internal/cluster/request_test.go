@@ -58,6 +58,40 @@ func TestClusterOversizedBody413(t *testing.T) {
 	}
 }
 
+// TestClusterVerifyMaxItersBounded: a /verify window past the bound gets
+// the bare server's 400 from every node of a two-node ring, whether the
+// node owns the key or forwards it to the owner.
+func TestClusterVerifyMaxItersBounded(t *testing.T) {
+	tc := startCluster(t, 2, Options{})
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	bare := service.NewServer(service.Options{Workers: 1, Logger: quiet})
+	defer bare.Drain(context.Background())
+	bareTS := httptest.NewServer(bare.Handler())
+	defer bareTS.Close()
+
+	send := func(url string, body []byte) (int, string) {
+		resp, err := http.Post(url+"/verify", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(out)
+	}
+	for _, mx := range []string{"-1", "1025"} {
+		body := []byte(`{"workload":{"name":"fig21","n":8},"scheme":{"name":"ref"},"maxIters":` + mx + `}`)
+		wantCode, wantBody := send(bareTS.URL, body)
+		if wantCode != http.StatusBadRequest || !strings.Contains(wantBody, "maxIters must be between 0 and 1024") {
+			t.Fatalf("bare maxIters=%s: %d %s", mx, wantCode, wantBody)
+		}
+		for _, addr := range tc.addrs {
+			if code, got := send(addr, body); code != wantCode || got != wantBody {
+				t.Errorf("node %s maxIters=%s: %d %s, want %d %s", addr, mx, code, got, wantCode, wantBody)
+			}
+		}
+	}
+}
+
 // TestClusterRunBytesMatchBareServer: a /run through a single-member node
 // answers the bytes a bare server answers, uncached and cached.
 func TestClusterRunBytesMatchBareServer(t *testing.T) {

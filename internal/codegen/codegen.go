@@ -236,20 +236,24 @@ func writeRef(mem *sim.Mem, r deps.Ref, idx []int64, v int64) {
 // end of the last op, so a scheme that published before the commit phase
 // would let a consumer read stale values and fail serial equivalence. The
 // op carrying the semantics is stamped with the statement's concrete
-// element accesses for the happens-before race checkers. Appending into the
+// element accesses for the happens-before race checkers when the machine
+// records a sync trace (nothing else reads them). Appending into the
 // caller's program slice (instead of returning a fresh one) keeps the
 // per-iteration instrumenters to one ops allocation each.
 func appendComputeOps(ops []sim.Op, m *sim.Machine, w *Workload, idx []int64, s *deps.Stmt, locals map[string]int64) []sim.Op {
 	exec := w.execInPlace(m.Mem(), idx, s, locals)
 	lat := m.Config().DataLatency
+	var op sim.Op
 	if lat <= 0 || len(s.Writes) == 0 {
-		op := sim.Compute(w.cost(s, idx), exec, s.Name)
-		op.Touch = stmtTouches(s, idx)
-		return append(ops, op)
+		op = sim.Compute(w.cost(s, idx), exec, s.Name)
+	} else {
+		ops = append(ops, sim.Compute(w.cost(s, idx), nil, s.Name))
+		op = sim.Compute(lat, exec, s.Name+":commit")
 	}
-	op := sim.Compute(lat, exec, s.Name+":commit")
-	op.Touch = stmtTouches(s, idx)
-	return append(ops, sim.Compute(w.cost(s, idx), nil, s.Name), op)
+	if m.SyncTracing() {
+		op.Touch = stmtTouches(s, idx)
+	}
+	return append(ops, op)
 }
 
 // stmtTouches lists the concrete shared-memory elements one execution of

@@ -448,27 +448,29 @@ func (ib *InstanceBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, F
 					vs.Set(a.Elem, a.Epoch+1, out[k])
 				}
 			}
-			// Renamed storage is single-assignment: race checking sees each
-			// (element, version) as its own location, so the renaming's
-			// elimination of anti/output conflicts is visible to the checker.
-			touches := make([]sim.MemAccess, 0, len(readAccs)+len(writeAccs))
-			for _, a := range readAccs {
-				touches = append(touches, accessTouch(a.Elem, a.Epoch, false))
-			}
-			for _, a := range writeAccs {
-				touches = append(touches, accessTouch(a.Elem, a.Epoch+1, true))
-			}
+			var op sim.Op
 			if lat := m.Config().DataLatency; lat > 0 && len(writeAccs) > 0 {
 				// Renamed copies also take DataLatency to land before the
 				// full/empty bits may be set (requirement (1)).
-				commit := sim.Compute(lat, exec, s.Name+":commit")
-				commit.Touch = touches
-				ops = append(ops, sim.Compute(w.cost(s, idx), nil, s.Name), commit)
+				ops = append(ops, sim.Compute(w.cost(s, idx), nil, s.Name))
+				op = sim.Compute(lat, exec, s.Name+":commit")
 			} else {
-				op := sim.Compute(w.cost(s, idx), exec, s.Name)
-				op.Touch = touches
-				ops = append(ops, op)
+				op = sim.Compute(w.cost(s, idx), exec, s.Name)
 			}
+			if m.SyncTracing() {
+				// Renamed storage is single-assignment: race checking sees
+				// each (element, version) as its own location, so the
+				// renaming's elimination of anti/output conflicts is
+				// visible to the checker.
+				op.Touch = make([]sim.MemAccess, 0, len(readAccs)+len(writeAccs))
+				for _, a := range readAccs {
+					op.Touch = append(op.Touch, accessTouch(a.Elem, a.Epoch, false))
+				}
+				for _, a := range writeAccs {
+					op.Touch = append(op.Touch, accessTouch(a.Elem, a.Epoch+1, true))
+				}
+			}
+			ops = append(ops, op)
 			for _, a := range writeAccs {
 				ops = append(ops, bits.FillOps(a)...)
 			}

@@ -117,24 +117,26 @@ func ExtractSyncProgram(w *Workload, sch Scheme) (*SyncProgram, error) {
 	for i, s := range w.Nest.Stmts() {
 		stmtPos[s.Name] = i
 	}
+	nStmts := len(w.Nest.Stmts())
 	sp.At = func(iter int64) []SyncOp {
-		return translateOps(prog(iter), stmtPos)
+		return translateOps(prog(iter), stmtPos, nStmts)
 	}
 	return sp, nil
 }
 
 // translateOps maps one iteration's simulator ops onto abstract steps. The
 // execution point of a statement is its last compute op carrying the
-// statement's tag (the commit op under a data-write latency).
-func translateOps(ops []sim.Op, stmtPos map[string]int) []SyncOp {
-	last := make(map[string]int) // stmt name -> index of its execution op
+// statement's tag (the commit op under a data-write latency). Names need
+// not be unique, so stmtPos may hold fewer entries than the nStmts
+// positions it maps into.
+func translateOps(ops []sim.Op, stmtPos map[string]int, nStmts int) []SyncOp {
+	last := make([]int, nStmts) // stmt position -> 1 + index of its execution op
 	for i, op := range ops {
 		if op.Kind != sim.OpCompute {
 			continue
 		}
-		name := strings.TrimSuffix(op.Tag, ":commit")
-		if _, ok := stmtPos[name]; ok {
-			last[name] = i
+		if pos, ok := stmtPos[strings.TrimSuffix(op.Tag, ":commit")]; ok {
+			last[pos] = i + 1
 		}
 	}
 	out := make([]SyncOp, 0, len(ops))
@@ -142,7 +144,7 @@ func translateOps(ops []sim.Op, stmtPos map[string]int) []SyncOp {
 		switch op.Kind {
 		case sim.OpCompute:
 			name := strings.TrimSuffix(op.Tag, ":commit")
-			if pos, ok := stmtPos[name]; ok && last[name] == i {
+			if pos, ok := stmtPos[name]; ok && last[pos] == i+1 {
 				out = append(out, SyncOp{Kind: SyncStmt, Stmt: pos, Tag: name})
 			}
 		case sim.OpWait:

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -153,5 +154,58 @@ func TestJobLatencyLabelsBounded(t *testing.T) {
 	s.metrics.Render(&buf, s.pool, s.cache.Snapshot(), Resilience{})
 	if !strings.Contains(buf.String(), `dsserve_job_latency_seconds_count{scheme="process"} 60`) {
 		t.Errorf("missing the process family's 60 jobs:\n%s", buf.String())
+	}
+}
+
+// TestVerifyMaxItersBounded: a /verify window outside [0, MaxVerifyIters]
+// is refused with 400 and a message naming the bound; the bound itself is
+// accepted.
+func TestVerifyMaxItersBounded(t *testing.T) {
+	_, ts := testServer(t, Options{Workers: 1})
+	for _, mx := range []int64{-1, MaxVerifyIters + 1, 1 << 40} {
+		resp, body := post(t, ts, "/verify", VerifyRequest{
+			Workload: WorkloadSpec{Name: "fig21", N: 8}, Scheme: SchemeSpec{Name: "ref"}, MaxIters: mx})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "maxIters must be between 0 and 1024") {
+			t.Errorf("maxIters=%d: %d %s, want 400 naming the bound", mx, resp.StatusCode, body)
+		}
+	}
+	resp, body := post(t, ts, "/verify", VerifyRequest{
+		Workload: WorkloadSpec{Name: "fig21", N: 8}, Scheme: SchemeSpec{Name: "ref"}, MaxIters: MaxVerifyIters})
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("maxIters=%d: %d %s, want 200", MaxVerifyIters, resp.StatusCode, body)
+	}
+}
+
+// TestRequestRouteLabelsBounded: every path the mux does not serve counts
+// under one route="other" series, while served routes keep their own.
+func TestRequestRouteLabelsBounded(t *testing.T) {
+	s, ts := testServer(t, Options{Workers: 1})
+	for i := 0; i < 50; i++ {
+		resp, err := http.Get(fmt.Sprintf("%s/no-such-path-%d", ts.URL, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET /no-such-path-%d: %d, want 404", i, resp.StatusCode)
+		}
+	}
+	if resp, body := post(t, ts, "/run", RunRequest{Workload: WorkloadSpec{Name: "fig21", N: 8}, Scheme: SchemeSpec{Name: "ref"}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/run: %d %s", resp.StatusCode, body)
+	}
+	var buf bytes.Buffer
+	s.metrics.Render(&buf, s.pool, s.cache.Snapshot(), Resilience{})
+	var lines []string
+	for _, l := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(l, "dsserve_requests_total{") {
+			lines = append(lines, l)
+		}
+	}
+	want := []string{
+		`dsserve_requests_total{route="/run",code="200"} 1`,
+		`dsserve_requests_total{route="other",code="404"} 50`,
+	}
+	if strings.Join(lines, "\n") != strings.Join(want, "\n") {
+		t.Errorf("request series:\n%s\nwant:\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
 	}
 }

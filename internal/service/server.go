@@ -197,9 +197,18 @@ type VerifyRequest struct {
 	Config   ConfigSpec   `json:"config"`
 	// Dynamic additionally executes the pair and replays the sync trace
 	// through the vector-clock checker.
-	Dynamic  bool  `json:"dynamic,omitempty"`
+	Dynamic bool `json:"dynamic,omitempty"`
+	// MaxIters caps the iterations the static checker analyzes (0 = its
+	// default, 512); at most MaxVerifyIters.
 	MaxIters int64 `json:"maxIters,omitempty"`
 }
+
+// MaxVerifyIters bounds VerifyRequest.MaxIters. The static checker's
+// clocks grow roughly with the square of the window on chained programs,
+// so a client-chosen window must not be unbounded.
+const MaxVerifyIters = 1024
+
+var errMaxIters = fmt.Errorf("maxIters must be between 0 and %d", MaxVerifyIters)
 
 // VerifyResponse carries the static (and optionally dynamic) reports.
 type VerifyResponse struct {
@@ -395,6 +404,10 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := &p.Verify
+	if req.MaxIters < 0 || req.MaxIters > MaxVerifyIters {
+		s.httpError(w, http.StatusBadRequest, errMaxIters)
+		return
+	}
 	if !req.Scheme.Verifiable() {
 		s.httpError(w, http.StatusBadRequest,
 			fmt.Errorf("scheme %q is not statically verifiable (outer-loop pipelining is outside the iteration-indexed happens-before model)", req.Scheme.Name))
@@ -595,17 +608,27 @@ func (sw *statusWriter) WriteHeader(code int) {
 	sw.ResponseWriter.WriteHeader(code)
 }
 
+// routeLabel is a path's dsserve_requests_total label: the route itself
+// for the six the mux serves, "other" for any other path, so clients
+// cannot mint a series per path.
+func routeLabel(path string) string {
+	switch path {
+	case "/run", "/verify", "/sweep", "/compile", "/healthz", "/metrics":
+		return path
+	}
+	return "other"
+}
+
 // logged wraps the mux with structured request logging and request metrics.
 func (s *Server) logged(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(sw, r)
-		route := r.URL.Path
-		s.metrics.ObserveRequest(route, sw.code)
+		s.metrics.ObserveRequest(routeLabel(r.URL.Path), sw.code)
 		s.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
 			slog.String("method", r.Method),
-			slog.String("route", route),
+			slog.String("route", r.URL.Path),
 			slog.Int("status", sw.code),
 			slog.Float64("dur_ms", float64(time.Since(start).Microseconds())/1000),
 			slog.Int("queue", s.pool.QueueDepth()),

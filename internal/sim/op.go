@@ -83,7 +83,8 @@ type Op struct {
 	Tag    string            // for traces and error messages
 
 	// Touch lists the shared-memory elements whose accesses take effect
-	// when Exec runs, for the happens-before race checkers. Optional.
+	// when Exec runs, for the happens-before race checkers. Optional, and
+	// read only when the machine is sync-tracing (Machine.SyncTracing).
 	Touch []MemAccess
 	// Post is the synchronization variable's value after this op completes,
 	// as guaranteed by the scheme's protocol. OpWrite implies Post == Value;

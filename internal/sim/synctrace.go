@@ -60,6 +60,10 @@ type SyncEvent struct {
 // Run*. Independent of EnableTrace (the timeline trace).
 func (m *Machine) EnableSyncTrace() { m.syncTracing = true }
 
+// SyncTracing reports whether synchronization-trace recording is on. Op
+// builders consult it to skip Touch lists, which only the trace reads.
+func (m *Machine) SyncTracing() bool { return m.syncTracing }
+
 // SyncTraceEvents returns the recorded synchronization trace in causal
 // order.
 func (m *Machine) SyncTraceEvents() []SyncEvent {

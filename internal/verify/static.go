@@ -1,9 +1,11 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
-	"regexp"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/csrd-repro/datasync/internal/codegen"
 	"github.com/csrd-repro/datasync/internal/deps"
@@ -27,9 +29,8 @@ func Static(sp *codegen.SyncProgram, opt Options) *Report {
 	rep.Analyzed = w
 
 	c := &checker{sp: sp, rep: rep, w: w, findIdx: make(map[string]int),
-		sigs: make(map[int][]sigRec), vinfo: make(map[int]*varInfo),
-		relOf: make(map[int][]sigRec), relSucc: make(map[int][]int),
-		sites: make(map[string]*siteStat)}
+		varIdx: make([]int32, len(sp.VarNames)),
+		sites:  make(map[string]*siteStat), siteOf: make(map[string]*siteStat)}
 	c.materialize()
 	c.classifyVars()
 	c.buildReleases()
@@ -63,7 +64,10 @@ type waitRec struct {
 	t    int64
 }
 
-type varInfo struct {
+// varState is one synchronization variable the analyzed window names.
+type varState struct {
+	id                   int      // variable ID
+	sigs                 []sigRec // its signals; sorted by classifyVars
 	plain, accum, opaque bool
 	bad                  bool // excluded from edge construction (reported)
 }
@@ -91,22 +95,35 @@ type checker struct {
 	total    int
 	iterOf   []int64
 	kOf      []int32
-	retain   []bool  // clock kept after processing (signal/stmt nodes)
-	stmtNode [][]int // [iter][stmtPos] -> node id, -1 when not executed
+	retain   []bool // clock kept after processing (signal/stmt nodes)
+	nStmts   int
+	stmtNode []int32   // [iter*nStmts+stmtPos] -> node id, -1 when not executed
+	idxOf    [][]int64 // [iter] -> index vector (set by checkArcs)
 
-	sigs    map[int][]sigRec
-	waits   []waitRec
-	vinfo   map[int]*varInfo
-	relOf   map[int][]sigRec // wait node -> releasing signals
-	relSucc map[int][]int    // signal node -> released wait nodes
+	// Only the variables the window names get a varState: a scheme may
+	// declare one variable per array element instance, far more than a
+	// truncated window reaches. vars is in first-use order.
+	varIdx []int32 // variable ID -> 1 + index in vars, 0 when unnamed
+	vars   []varState
+	waits  []waitRec
+	relOf  [][]sigRec // wait node -> releasing signals
+	// The wait nodes signal node id releases, in wait order, are
+	// succ[succOff[id]:succOff[id+1]].
+	succOff []int32
+	succ    []int32
 
 	obls    []obligation
 	oblSeen map[[2]int]bool
 
-	clocks []map[int64]int32
+	// clocks[id] is node id's vector clock: a run of packed entries sorted
+	// by iteration, carved from arena (see clock.go).
+	clocks  [][]uint64
+	arena   clockArena
+	scratch [2][]uint64
 
-	sites   map[string]*siteStat
-	findIdx map[string]int // finding dedup key -> index in rep.Findings
+	sites   map[string]*siteStat // normalized wait site -> tally
+	siteOf  map[string]*siteStat // wait tag minus its " i=N" suffix -> tally
+	findIdx map[string]int       // finding dedup key -> index in rep.Findings
 }
 
 func (c *checker) vname(v int) string { return c.sp.VarNames[v] }
@@ -131,41 +148,53 @@ func (c *checker) addHard(key string, f Finding) {
 	c.rep.Findings = append(c.rep.Findings, f)
 }
 
+// stmtAt returns the node executing statement s in iteration i, or -1.
+func (c *checker) stmtAt(i int64, s int) int {
+	return int(c.stmtNode[int(i)*c.nStmts+s])
+}
+
 func (c *checker) materialize() {
 	nStmts := len(c.sp.Workload.Nest.Stmts())
+	c.nStmts = nStmts
 	c.evs = make([][]codegen.SyncOp, c.w+1)
 	c.base = make([]int, c.w+2)
+	nWaits := 0
 	for i := int64(1); i <= c.w; i++ {
 		c.evs[i] = c.sp.At(i)
 		c.base[i+1] = c.base[i] + len(c.evs[i])
+		for _, op := range c.evs[i] {
+			if op.Kind == codegen.SyncWait {
+				nWaits++
+			}
+		}
 	}
+	c.waits = make([]waitRec, 0, nWaits)
 	c.total = c.base[c.w+1]
 	c.rep.Nodes = c.total
 	c.iterOf = make([]int64, c.total)
 	c.kOf = make([]int32, c.total)
 	c.retain = make([]bool, c.total)
-	c.stmtNode = make([][]int, c.w+1)
+	c.stmtNode = make([]int32, int(c.w+1)*nStmts)
+	for s := range c.stmtNode {
+		c.stmtNode[s] = -1
+	}
 	for i := int64(1); i <= c.w; i++ {
-		row := make([]int, nStmts)
-		for s := range row {
-			row[s] = -1
-		}
-		c.stmtNode[i] = row
+		row := c.stmtNode[int(i)*nStmts : int(i+1)*nStmts]
 		for k, op := range c.evs[i] {
 			id := c.base[i] + k
 			c.iterOf[id] = i
 			c.kOf[id] = int32(k)
 			switch op.Kind {
 			case codegen.SyncStmt:
-				row[op.Stmt] = id
+				row[op.Stmt] = int32(id)
 				c.retain[id] = true
 			case codegen.SyncSignal:
 				c.rep.Signals++
 				c.retain[id] = true
-				c.sigs[op.Var] = append(c.sigs[op.Var], sigRec{
+				vi := c.varOf(op.Var)
+				vi.sigs = append(vi.sigs, sigRec{
 					id: id, iter: i, k: k, val: op.Value,
 					cond: op.Conditional, guard: op.Guard, hasGuard: op.HasGuard})
-				vi := c.info(op.Var)
 				if op.Accum {
 					vi.accum = true
 				} else {
@@ -175,35 +204,39 @@ func (c *checker) materialize() {
 				c.rep.Waits++
 				c.waits = append(c.waits, waitRec{id: id, iter: i, k: k, v: op.Var, t: op.Value})
 			case codegen.SyncOpaque:
-				c.info(op.Var).opaque = true
+				c.varOf(op.Var).opaque = true
 			}
 		}
 	}
 }
 
-func (c *checker) info(v int) *varInfo {
-	vi := c.vinfo[v]
-	if vi == nil {
-		vi = &varInfo{}
-		c.vinfo[v] = vi
+// varOf returns variable v's state, adding it on first use. The pointer is
+// valid until the next varOf call.
+func (c *checker) varOf(v int) *varState {
+	i := c.varIdx[v]
+	if i == 0 {
+		c.vars = append(c.vars, varState{id: v})
+		i = int32(len(c.vars))
+		c.varIdx[v] = i
 	}
-	return vi
+	return &c.vars[i-1]
 }
 
 func (c *checker) classifyVars() {
-	for _, ss := range c.sigs {
-		ss := ss
-		sort.Slice(ss, func(a, b int) bool {
-			if ss[a].val != ss[b].val {
-				return ss[a].val < ss[b].val
+	for x := range c.vars {
+		slices.SortFunc(c.vars[x].sigs, func(a, b sigRec) int {
+			if a.val != b.val {
+				return cmp.Compare(a.val, b.val)
 			}
-			if ss[a].iter != ss[b].iter {
-				return ss[a].iter < ss[b].iter
+			if a.iter != b.iter {
+				return cmp.Compare(a.iter, b.iter)
 			}
-			return ss[a].k < ss[b].k
+			return a.k - b.k
 		})
 	}
-	for v, vi := range c.vinfo {
+	for x := range c.vars {
+		vi := &c.vars[x]
+		v := vi.id
 		switch {
 		case vi.opaque:
 			vi.bad = true
@@ -218,7 +251,7 @@ func (c *checker) classifyVars() {
 				Summary: fmt.Sprintf("variable %s mixes plain writes and atomic increments; release semantics are undefined", c.vname(v)),
 			})
 		case vi.plain:
-			ss := c.sigs[v]
+			ss := vi.sigs
 			for j := 0; j+1 < len(ss); j++ {
 				if ss[j].val == ss[j+1].val && ss[j].iter != ss[j+1].iter {
 					vi.bad = true
@@ -237,13 +270,15 @@ func (c *checker) classifyVars() {
 
 func (c *checker) buildReleases() {
 	c.oblSeen = make(map[[2]int]bool)
+	c.relOf = make([][]sigRec, c.total)
+	c.succOff = make([]int32, c.total+1)
 	for _, w := range c.waits {
-		vi := c.info(w.v)
+		vi := c.varOf(w.v)
 		if vi.bad {
 			continue
 		}
 		init := c.sp.VarInit[w.v]
-		ss := c.sigs[w.v]
+		ss := vi.sigs
 		var rels []sigRec
 		if vi.accum {
 			// Counting semantics: the key counts completed increments, so
@@ -312,7 +347,18 @@ func (c *checker) buildReleases() {
 		}
 		c.relOf[w.id] = rels
 		for _, r := range rels {
-			c.relSucc[r.id] = append(c.relSucc[r.id], w.id)
+			c.succOff[r.id+1]++
+		}
+	}
+	for id := 0; id < c.total; id++ {
+		c.succOff[id+1] += c.succOff[id]
+	}
+	c.succ = make([]int32, c.succOff[c.total])
+	fill := slices.Clone(c.succOff[:c.total])
+	for _, w := range c.waits {
+		for _, r := range c.relOf[w.id] {
+			c.succ[fill[r.id]] = int32(w.id)
+			fill[r.id]++
 		}
 	}
 }
@@ -334,7 +380,8 @@ func (c *checker) sortAndClock() bool {
 			queue = append(queue, id)
 		}
 	}
-	c.clocks = make([]map[int64]int32, c.total)
+	c.clocks = make([][]uint64, c.total)
+	c.arena = newClockArena(c.total)
 	done := make([]bool, c.total)
 	processed := 0
 	for len(queue) > 0 {
@@ -342,54 +389,16 @@ func (c *checker) sortAndClock() bool {
 		queue = queue[:len(queue)-1]
 		done[id] = true
 		processed++
-
-		var cl map[int64]int32
-		if c.kOf[id] == 0 {
-			cl = make(map[int64]int32, 4)
-		} else if pred := id - 1; c.retain[pred] {
-			cl = make(map[int64]int32, len(c.clocks[pred])+2)
-			for i, k := range c.clocks[pred] {
-				cl[i] = k
-			}
-		} else {
-			// A wait's clock has exactly one consumer (its program
-			// successor): steal it instead of copying.
-			cl = c.clocks[pred]
-			c.clocks[pred] = nil
-		}
-		if rels := c.relOf[id]; len(rels) > 0 {
-			redundant := true
-			for _, r := range rels {
-				if cl[r.iter] <= int32(r.k) {
-					redundant = false
-					break
-				}
-			}
-			c.tallySite(id, redundant)
-			for _, r := range rels {
-				for i, k := range c.clocks[r.id] {
-					if k > cl[i] {
-						cl[i] = k
-					}
-				}
-			}
-		}
-		// Clock entries count ordered prefix nodes (kOf+1), so a missing
-		// entry (0) means "nothing of that iteration is ordered before" —
-		// including its first node.
-		if it := c.iterOf[id]; c.kOf[id]+1 > cl[it] {
-			cl[it] = c.kOf[id] + 1
-		}
-		c.clocks[id] = cl
+		c.clocks[id] = c.clockOf(id)
 
 		if next := id + 1; next < c.base[c.iterOf[id]+1] {
 			if indeg[next]--; indeg[next] == 0 {
 				queue = append(queue, next)
 			}
 		}
-		for _, s := range c.relSucc[id] {
+		for _, s := range c.succ[c.succOff[id]:c.succOff[id+1]] {
 			if indeg[s]--; indeg[s] == 0 {
-				queue = append(queue, s)
+				queue = append(queue, int(s))
 			}
 		}
 	}
@@ -398,6 +407,67 @@ func (c *checker) sortAndClock() bool {
 	}
 	c.reportCycle(done)
 	return false
+}
+
+// clockOf computes node id's clock once its predecessors are done: the
+// program predecessor's clock joined with every releasing signal's, with
+// the node's own entry raised to kOf+1. Clock entries count ordered prefix
+// nodes, so a missing entry (0) means "nothing of that iteration is
+// ordered before" — including its first node.
+func (c *checker) clockOf(id int) []uint64 {
+	it := c.iterOf[id]
+	own := packClock(it, c.kOf[id]+1)
+	var row []uint64
+	stolen := false
+	if c.kOf[id] > 0 {
+		pred := id - 1
+		row = c.clocks[pred]
+		if !c.retain[pred] {
+			// A wait's clock has exactly one consumer (its program
+			// successor): take it over instead of copying.
+			stolen = true
+			c.clocks[pred] = nil
+		}
+	}
+	rels := c.relOf[id]
+	if len(rels) == 0 {
+		if row == nil {
+			row = c.arena.alloc(1)
+			row[0] = own
+			return row
+		}
+		if !stolen {
+			row = c.arena.clone(row)
+		}
+		// The predecessor's clock already holds this iteration's entry, so
+		// this raises it in place.
+		return insertClock(row, own)
+	}
+	redundant := true
+	for _, r := range rels {
+		if clockAt(row, r.iter) <= int32(r.k) {
+			redundant = false
+			break
+		}
+	}
+	c.tallySite(id, redundant)
+	// Merge through the two scratch buffers, then copy the result out once.
+	a, b := c.scratch[0], c.scratch[1]
+	cur := row
+	for _, r := range rels {
+		a = mergeClocks(a[:0], cur, c.clocks[r.id])
+		cur = a
+		a, b = b, a
+	}
+	cur = insertClock(cur, own)
+	c.scratch[0], c.scratch[1] = a, cur
+	if stolen && len(cur) <= cap(row) {
+		row = row[:len(cur)]
+	} else {
+		row = c.arena.alloc(len(cur))
+	}
+	copy(row, cur)
+	return row
 }
 
 // reportCycle extracts one wait-for cycle from the unprocessed residue as a
@@ -453,7 +523,7 @@ func (c *checker) reportCycle(done []bool) {
 
 func (c *checker) checkObligations() {
 	for _, o := range c.obls {
-		if c.clocks[o.cand.id][o.r.iter] > int32(o.r.k) {
+		if clockAt(c.clocks[o.cand.id], o.r.iter) > int32(o.r.k) {
 			continue
 		}
 		c.addHard(fmt.Sprintf("unsound|%d|%d", o.v, o.r.id), Finding{
@@ -469,8 +539,10 @@ func (c *checker) checkObligations() {
 // happens-before ordered (or the later one's firing guard must already
 // imply the earlier value is visible).
 func (c *checker) checkChains() {
-	for v, ss := range c.sigs {
-		if vi := c.info(v); vi.bad || vi.accum {
+	for x := range c.vars {
+		vi := &c.vars[x]
+		v, ss := vi.id, vi.sigs
+		if vi.bad || vi.accum {
 			continue
 		}
 		for j := 0; j+1 < len(ss); j++ {
@@ -484,7 +556,7 @@ func (c *checker) checkChains() {
 			if b.hasGuard && b.guard >= a.val {
 				continue // b fires only once a value >= a.val is visible
 			}
-			if c.clocks[b.id][a.iter] > int32(a.k) {
+			if clockAt(c.clocks[b.id], a.iter) > int32(a.k) {
 				continue
 			}
 			c.addHard(fmt.Sprintf("chain|%d", v), Finding{
@@ -517,6 +589,11 @@ func (c *checker) checkArcs() {
 			Detail: a.Reason.Explain(),
 		})
 	}
+	c.idxOf = make([][]int64, c.w+1)
+	for i := int64(1); i <= c.w; i++ {
+		c.idxOf[i] = nest.IndexOf(i)
+	}
+	var idx []int64
 	seenCross := make(map[string]bool)
 	for _, a := range g.Arcs {
 		if !a.Known || a.LoopIndep {
@@ -535,8 +612,7 @@ func (c *checker) checkArcs() {
 		var fails int64
 		var wSrc, wDst int64
 		for i := int64(1); i <= c.w; i++ {
-			srcIdx := nest.IndexOf(i)
-			idx := nest.IndexOf(i)
+			idx = append(idx[:0], c.idxOf[i]...)
 			ok := true
 			for l, d := range a.Dist {
 				idx[l] += d
@@ -552,16 +628,16 @@ func (c *checker) checkArcs() {
 			if j > c.w {
 				continue // beyond the (possibly truncated) window
 			}
-			sn := c.stmtNode[i][a.Src]
-			dn := c.stmtNode[j][a.Dst]
+			sn := c.stmtAt(i, a.Src)
+			dn := c.stmtAt(j, a.Dst)
 			if sn < 0 || dn < 0 {
 				continue // a branch skipped one endpoint: no instance
 			}
 			c.rep.PairsChecked++
-			if c.clocks[dn][i] > c.kOf[sn] {
+			if clockAt(c.clocks[dn], i) > c.kOf[sn] {
 				continue
 			}
-			if c.sp.Renamed && c.flowKilled(g, a, i, j, srcIdx) {
+			if c.sp.Renamed && c.flowKilled(g, a, i, j) {
 				continue // the sink reads a later renamed version, not this write
 			}
 			if fails == 0 {
@@ -586,8 +662,8 @@ func (c *checker) checkArcs() {
 		}
 		seen[[2]int{a.Src, a.Dst}] = true
 		for i := int64(1); i <= c.w; i++ {
-			sn := c.stmtNode[i][a.Src]
-			dn := c.stmtNode[i][a.Dst]
+			sn := c.stmtAt(i, a.Src)
+			dn := c.stmtAt(i, a.Dst)
 			if sn < 0 || dn < 0 || c.kOf[sn] < c.kOf[dn] {
 				continue
 			}
@@ -612,16 +688,15 @@ func (c *checker) checkArcs() {
 // write's fresh version, so the stale write-to-read pair needs no ordering
 // at all. Control flow is data-independent, so "the kill executes" is a
 // static fact (stmtNode), not an approximation.
-func (c *checker) flowKilled(g *deps.Graph, a deps.Arc, i, j int64, srcIdx []int64) bool {
-	nest := c.sp.Workload.Nest
+func (c *checker) flowKilled(g *deps.Graph, a deps.Arc, i, j int64) bool {
 	elem := make([]int64, len(a.SrcRef.Index))
 	for l, ix := range a.SrcRef.Index {
-		elem[l] = ix.Eval(srcIdx)
+		elem[l] = ix.Eval(c.idxOf[i])
 	}
 	for m := i; m <= j; m++ {
-		mIdx := nest.IndexOf(m)
+		mIdx := c.idxOf[m]
 		for p, st := range g.Stmts {
-			if c.stmtNode[m][p] < 0 {
+			if c.stmtAt(m, p) < 0 {
 				continue // branch skipped: the would-be kill never executes
 			}
 			if (m == i && p <= a.Src) || (m == j && p >= a.Dst) {
@@ -659,11 +734,20 @@ func distStr(dist []int64) string {
 }
 
 func (c *checker) tallySite(waitID int, redundant bool) {
-	s := site(c.tagOf(waitID))
-	st := c.sites[s]
+	tag := c.tagOf(waitID)
+	// Instances of one site often differ only in the " i=N" suffix, so the
+	// stripped tag (a substring: no allocation) usually finds the tally in
+	// one lookup.
+	stripped := tag[:siteIterCut(tag)]
+	st := c.siteOf[stripped]
 	if st == nil {
-		st = &siteStat{sample: c.tagOf(waitID)}
-		c.sites[s] = st
+		s := normalizeSite(stripped)
+		st = c.sites[s]
+		if st == nil {
+			st = &siteStat{sample: tag}
+			c.sites[s] = st
+		}
+		c.siteOf[stripped] = st
 	}
 	st.total++
 	if redundant {
@@ -692,18 +776,151 @@ func (c *checker) reportRedundant() {
 
 // site normalizes a wait tag to its placement site by erasing the
 // iteration-varying parts: "wait_PC(3,1) i=17" and "wait_PC(3,1) i=42" are
-// the same site; "key:wait A[3]>=2" folds to "key:wait A[*]>=*".
-var (
-	siteIter = regexp.MustCompile(` i=-?\d+( noop)?$`)
-	siteGE   = regexp.MustCompile(`>=-?\d+`)
-	siteElem = regexp.MustCompile(`\[-?\d+(,-?\d+)*\]`)
-	siteVer  = regexp.MustCompile(`\.v\d+(\.c\d+)?`)
-)
+// the same site; "key:wait A[3]>=2" folds to "key:wait A[*]>=*". In
+// regular-expression terms it deletes a trailing ` i=-?\d+( noop)?`, then
+// rewrites `>=-?\d+` to ">=*", `\[-?\d+(,-?\d+)*\]` to "[*]" and
+// `\.v\d+(\.c\d+)?` to ".v*". The three rewrites start at distinct bytes
+// and never produce or split one another's matches, so one left-to-right
+// pass applies all of them.
+func site(tag string) string { return normalizeSite(tag[:siteIterCut(tag)]) }
 
-func site(tag string) string {
-	tag = siteIter.ReplaceAllString(tag, "")
-	tag = siteGE.ReplaceAllString(tag, ">=*")
-	tag = siteElem.ReplaceAllString(tag, "[*]")
-	tag = siteVer.ReplaceAllString(tag, ".v*")
-	return tag
+// siteIterCut returns the length of tag without a trailing " i=N" or
+// " i=N noop" (N an optionally negative decimal).
+func siteIterCut(tag string) int {
+	if t, ok := strings.CutSuffix(tag, " noop"); ok {
+		if n := iterSuffix(t); n >= 0 {
+			return n
+		}
+	}
+	if n := iterSuffix(tag); n >= 0 {
+		return n
+	}
+	return len(tag)
 }
+
+// iterSuffix returns where a trailing " i=-?\d+" starts in s, or -1.
+func iterSuffix(s string) int {
+	j := len(s)
+	for j > 0 && isDigit(s[j-1]) {
+		j--
+	}
+	if j == len(s) {
+		return -1
+	}
+	if j > 0 && s[j-1] == '-' {
+		j--
+	}
+	if strings.HasSuffix(s[:j], " i=") {
+		return j - 3
+	}
+	return -1
+}
+
+// normalizeSite applies the three in-tag rewrites of site. It returns s
+// itself when nothing matches.
+func normalizeSite(s string) string {
+	var out []byte
+	last := 0 // s[last:i] is not yet copied to out
+	for i := 0; i < len(s); {
+		j := strings.IndexAny(s[i:], ">[.")
+		if j < 0 {
+			break
+		}
+		i += j
+		var n int
+		var rep string
+		switch s[i] {
+		case '>':
+			n, rep = matchGE(s[i:]), ">=*"
+		case '[':
+			n, rep = matchElem(s[i:]), "[*]"
+		case '.':
+			n, rep = matchVer(s[i:]), ".v*"
+		}
+		if n == 0 {
+			i++
+			continue
+		}
+		out = append(append(out, s[last:i]...), rep...)
+		i += n
+		last = i
+	}
+	if out == nil {
+		return s
+	}
+	return string(append(out, s[last:]...))
+}
+
+// matchGE returns the length of a `>=-?\d+` prefix of s, or 0.
+func matchGE(s string) int {
+	if len(s) < 2 || s[1] != '=' {
+		return 0
+	}
+	if n := matchInt(s[2:]); n > 0 {
+		return 2 + n
+	}
+	return 0
+}
+
+// matchElem returns the length of a `\[-?\d+(,-?\d+)*\]` prefix of s, or 0.
+func matchElem(s string) int {
+	j := 1
+	for {
+		n := matchInt(s[j:])
+		if n == 0 {
+			return 0
+		}
+		j += n
+		if j == len(s) {
+			return 0
+		}
+		switch s[j] {
+		case ']':
+			return j + 1
+		case ',':
+			j++
+		default:
+			return 0
+		}
+	}
+}
+
+// matchVer returns the length of a `\.v\d+(\.c\d+)?` prefix of s, or 0.
+func matchVer(s string) int {
+	if len(s) < 2 || s[1] != 'v' {
+		return 0
+	}
+	n := digits(s[2:])
+	if n == 0 {
+		return 0
+	}
+	j := 2 + n
+	if strings.HasPrefix(s[j:], ".c") {
+		if m := digits(s[j+2:]); m > 0 {
+			j += 2 + m
+		}
+	}
+	return j
+}
+
+// matchInt returns the length of a `-?\d+` prefix of s, or 0.
+func matchInt(s string) int {
+	j := 0
+	if j < len(s) && s[j] == '-' {
+		j++
+	}
+	if n := digits(s[j:]); n > 0 {
+		return j + n
+	}
+	return 0
+}
+
+func digits(s string) int {
+	j := 0
+	for j < len(s) && isDigit(s[j]) {
+		j++
+	}
+	return j
+}
+
+func isDigit(b byte) bool { return '0' <= b && b <= '9' }
