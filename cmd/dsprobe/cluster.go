@@ -5,9 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"log/slog"
-	"net"
 	"net/http"
 	"time"
 
@@ -27,49 +24,19 @@ import (
 //     Retry-After while the circuit breaker stays closed and other tenants
 //     keep being served.
 func probeCluster(ctx context.Context) {
-	const n = 3
-	log := slog.New(slog.NewTextHandler(io.Discard, nil))
-
-	// Listeners first: addresses must be known before the membership is.
-	listeners := make([]net.Listener, n)
-	members := make([]cluster.Member, n)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fatalf("cluster listen: %v", err)
-		}
-		listeners[i] = ln
-		members[i] = cluster.Member{ID: fmt.Sprintf("n%d", i), Addr: "http://" + ln.Addr().String()}
+	lc, err := cluster.StartLocal(3, cluster.Options{
+		PeerToken:  "probe-secret",
+		StealChunk: 1, // finest granularity: every point is stealable
+		// A dead peer should be detected in tens of milliseconds.
+		PeerAttempts:  2,
+		PeerBaseDelay: 25 * time.Millisecond,
+		Tenant:        cluster.TenantPolicy{Rate: 5, Burst: 5},
+	}, service.Options{Workers: 2})
+	if err != nil {
+		fatalf("cluster: %v", err)
 	}
-	nodes := make([]*cluster.Node, n)
-	servers := make([]*http.Server, n)
-	for i := range nodes {
-		node, err := cluster.New(cluster.Options{
-			Self:       members[i].ID,
-			Members:    members,
-			PeerToken:  "probe-secret",
-			StealChunk: 1, // finest granularity: every point is stealable
-			// A dead peer should be detected in tens of milliseconds.
-			PeerAttempts:  2,
-			PeerBaseDelay: 25 * time.Millisecond,
-			Tenant:        cluster.TenantPolicy{Rate: 5, Burst: 5},
-			Logger:        log,
-		}, service.Options{Workers: 2, Logger: log})
-		if err != nil {
-			fatalf("cluster node %d: %v", i, err)
-		}
-		nodes[i] = node
-		servers[i] = &http.Server{Handler: node.Handler()}
-		go servers[i].Serve(listeners[i])
-	}
-	defer func() {
-		for _, hs := range servers {
-			if hs != nil {
-				hs.Close()
-			}
-		}
-	}()
-	addr := func(i int) string { return members[i].Addr }
+	defer lc.Stop(ctx)
+	addr := lc.Addr
 
 	// Phase 1: cross-node forwarding and the cluster-wide cache.
 	runReq := service.RunRequest{
@@ -81,24 +48,24 @@ func probeCluster(ctx context.Context) {
 	if err != nil {
 		fatalf("cluster: run key: %v", err)
 	}
-	owner := nodes[0].Ring().Owner(key).ID
+	owner := lc.Nodes[0].Ring().Owner(key).ID
 	var edges []int
-	for i := range nodes {
-		if members[i].ID != owner {
+	for i := range lc.Nodes {
+		if lc.Members[i].ID != owner {
 			edges = append(edges, i)
 		}
 	}
-	code, body, hdr := postTenant(ctx, addr(edges[0])+"/run", runReq, "probe")
+	code, body, hdr := post(ctx, addr(edges[0])+"/run", runReq, "probe")
 	if code != http.StatusOK {
-		fatalf("cluster: /run via edge %s: %d %s", members[edges[0]].ID, code, body)
+		fatalf("cluster: /run via edge %s: %d %s", lc.Members[edges[0]].ID, code, body)
 	}
 	if got := hdr.Get("X-DSServe-Node"); got != owner {
 		fatalf("cluster: run served by %q, ring owner is %q", got, owner)
 	}
-	code, body, _ = postTenant(ctx, addr(edges[1])+"/run", runReq, "probe")
+	code, body, _ = post(ctx, addr(edges[1])+"/run", runReq, "probe")
 	var rr service.RunResponse
 	if code != http.StatusOK || json.Unmarshal([]byte(body), &rr) != nil {
-		fatalf("cluster: repeat /run via edge %s: %d %s", members[edges[1]].ID, code, body)
+		fatalf("cluster: repeat /run via edge %s: %d %s", lc.Members[edges[1]].ID, code, body)
 	}
 	if !rr.Cached {
 		fatalf("cluster: repeat through a second node missed the cluster cache: %s", body)
@@ -130,12 +97,11 @@ func probeCluster(ctx context.Context) {
 	}
 	done := make(chan sweepOut, 1)
 	go func() {
-		code, body, _ := postTenant(ctx, addr(0)+"/sweep", sweep, "probe")
+		code, body, _ := post(ctx, addr(0)+"/sweep", sweep, "probe")
 		done <- sweepOut{code, body}
 	}()
 	time.Sleep(10 * time.Millisecond)
-	servers[2].Close()
-	servers[2] = nil
+	lc.Kill(2)
 	fmt.Println("dsprobe: killed node n2 mid-sweep")
 	out := <-done
 	if out.code != http.StatusOK {
@@ -146,20 +112,18 @@ func probeCluster(ctx context.Context) {
 		fatalf("cluster: decode sweep: %v", err)
 	}
 
-	oracleSrv := service.NewServer(service.Options{Workers: 4, Logger: log})
-	defer oracleSrv.Drain(context.Background())
-	oracle, err := oracleSrv.EvalSweep(ctx, sweep)
+	oracle, err := cluster.SweepOracle(ctx, sweep)
 	if err != nil {
 		fatalf("cluster: oracle sweep: %v", err)
 	}
-	if !sweepEqual(&got, oracle) {
-		fatalf("cluster: merged sweep diverges from the single-node oracle\ncluster: %s", out.body)
+	if diff := cluster.SweepMismatch(&got, oracle); diff != "" {
+		fatalf("cluster: merged sweep diverges from the single-node oracle: %s\ncluster: %s", diff, out.body)
 	}
 	if got.Failed != 0 {
 		fatalf("cluster: %d points failed after node kill, want 0 (survivors must re-execute)", got.Failed)
 	}
-	_, steals, peerErrs := nodes[0].Counters()
-	if nodes[0].Ring().Has("n2") && peerErrs == 0 {
+	_, steals, peerErrs := lc.Nodes[0].Counters()
+	if lc.Nodes[0].Ring().Has("n2") && peerErrs == 0 {
 		fatalf("cluster: killed node still live in the coordinator's ring with no peer errors")
 	}
 	fmt.Printf("dsprobe: merged Pareto (%d points) matches oracle after node loss (steals=%d peerErrors=%d)\n",
@@ -169,7 +133,7 @@ func probeCluster(ctx context.Context) {
 	okCount, shedCount := 0, 0
 	sawRetryAfter := false
 	for i := 0; i < 12; i++ {
-		code, body, hdr := postTenant(ctx, addr(0)+"/run", runReq, "hot")
+		code, body, hdr := post(ctx, addr(0)+"/run", runReq, "hot")
 		switch code {
 		case http.StatusOK:
 			okCount++
@@ -185,7 +149,7 @@ func probeCluster(ctx context.Context) {
 	if okCount == 0 || shedCount == 0 || !sawRetryAfter {
 		fatalf("cluster: hot tenant saw %d OK / %d shed (retry-after: %v), want both with Retry-After", okCount, shedCount, sawRetryAfter)
 	}
-	code, body, _ = postTenant(ctx, addr(1)+"/run", runReq, "cool")
+	code, body, _ = post(ctx, addr(1)+"/run", runReq, "cool")
 	if code != http.StatusOK {
 		fatalf("cluster: cool tenant during hot shed: %d %s", code, body)
 	}
@@ -198,59 +162,4 @@ func probeCluster(ctx context.Context) {
 	}
 	fmt.Printf("dsprobe: hot tenant shed (%d ok / %d shed) with breaker closed\n", okCount, shedCount)
 	fmt.Println("dsprobe: cluster forward/steal/shed cycle verified")
-}
-
-// sweepEqual compares two sweep responses point by point and front by
-// front, ignoring only cache provenance (which legitimately differs
-// between a cluster and a cold single node).
-func sweepEqual(a, b *service.SweepResponse) bool {
-	norm := func(ps []service.SweepPoint) []service.SweepPoint {
-		out := make([]service.SweepPoint, len(ps))
-		copy(out, ps)
-		for i := range out {
-			out[i].Cached = false
-		}
-		return out
-	}
-	if a.Workload != b.Workload || len(a.Points) != len(b.Points) || len(a.Pareto) != len(b.Pareto) {
-		return false
-	}
-	ap, bp := norm(a.Points), norm(b.Points)
-	for i := range ap {
-		if ap[i] != bp[i] {
-			return false
-		}
-	}
-	af, bf := norm(a.Pareto), norm(b.Pareto)
-	for i := range af {
-		if af[i] != bf[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// postTenant posts JSON with a tenant header and returns status, body and
-// response headers.
-func postTenant(ctx context.Context, url string, v any, tenant string) (int, string, http.Header) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		fatalf("marshal: %v", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(b))
-	if err != nil {
-		fatalf("request: %v", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-DSServe-Tenant", tenant)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		fatalf("POST %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fatalf("read body: %v", err)
-	}
-	return resp.StatusCode, string(body), resp.Header
 }

@@ -94,7 +94,7 @@ func main() {
 			Scheme:   service.SchemeSpec{Name: "process", X: 4},
 			Config:   service.ConfigSpec{P: 4, Fault: &fault.Plan{Seed: 1, DropProb: 1}},
 		}
-		code, body := postOnce(ctx, *addr+"/run", req)
+		code, body, _ := post(ctx, *addr+"/run", req, "")
 		if code != http.StatusBadRequest || !strings.Contains(body, "deadlock") {
 			fatalf("stall run %d: status %d body %q, want 400 with a deadlock diagnosis", i, code, body)
 		}
@@ -107,7 +107,8 @@ func main() {
 		Scheme:   service.SchemeSpec{Name: "ref"},
 		Config:   service.ConfigSpec{P: 4},
 	}
-	code, _, retryAfter := postOnceHdr(ctx, *addr+"/run", clean)
+	code, _, hdr := post(ctx, *addr+"/run", clean, "")
+	retryAfter := hdr.Get("Retry-After")
 	if code != http.StatusServiceUnavailable {
 		fatalf("open breaker: status %d, want 503", code)
 	}
@@ -161,14 +162,14 @@ func probeHalt(ctx context.Context, addr string) {
 		Config: service.ConfigSpec{P: 4, MaxCycles: 200_000,
 			Fault: &fault.Plan{HaltProc: 1, HaltAtCycle: 50}},
 	}
-	code, body := postOnce(ctx, addr+"/run", req)
+	code, body, _ := post(ctx, addr+"/run", req, "")
 	if code != http.StatusBadRequest || !strings.Contains(body, "halted") {
 		fatalf("unrecovered halt: status %d body %q, want 400 naming the halted processor", code, body)
 	}
 	fmt.Println("dsprobe: unrecovered halt diagnosed")
 
 	req.Config.Recover = &sim.Recover{AfterCycles: 40}
-	code, body = postOnce(ctx, addr+"/run", req)
+	code, body, _ = post(ctx, addr+"/run", req, "")
 	if code != http.StatusOK {
 		fatalf("recovery-armed run: status %d body %q, want 200", code, body)
 	}
@@ -212,13 +213,9 @@ func metricValue(m, name string) int64 {
 	return -1
 }
 
-// postOnce posts JSON with no retries and returns status + body text.
-func postOnce(ctx context.Context, url string, v any) (int, string) {
-	code, body, _ := postOnceHdr(ctx, url, v)
-	return code, body
-}
-
-func postOnceHdr(ctx context.Context, url string, v any) (int, string, string) {
+// post sends v as JSON with no retries, charged to tenant when one is
+// named, and returns status, body text and response headers.
+func post(ctx context.Context, url string, v any, tenant string) (int, string, http.Header) {
 	b, err := json.Marshal(v)
 	if err != nil {
 		fatalf("marshal: %v", err)
@@ -228,6 +225,9 @@ func postOnceHdr(ctx context.Context, url string, v any) (int, string, string) {
 		fatalf("request: %v", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
+	if tenant != "" {
+		req.Header.Set("X-DSServe-Tenant", tenant)
+	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		fatalf("POST %s: %v", url, err)
@@ -237,7 +237,7 @@ func postOnceHdr(ctx context.Context, url string, v any) (int, string, string) {
 	if err != nil {
 		fatalf("read body: %v", err)
 	}
-	return resp.StatusCode, string(body), resp.Header.Get("Retry-After")
+	return resp.StatusCode, string(body), resp.Header
 }
 
 func getText(ctx context.Context, url string) string {

@@ -5,9 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"log/slog"
-	"net"
 	"net/http"
 	"time"
 
@@ -30,54 +27,24 @@ import (
 //     members, and a post-drain sweep still matches the single-node
 //     oracle front.
 func probeMembership(ctx context.Context) {
-	const n = 3
-	log := slog.New(slog.NewTextHandler(io.Discard, nil))
-
-	listeners := make([]net.Listener, n)
-	members := make([]cluster.Member, n)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fatalf("membership listen: %v", err)
-		}
-		listeners[i] = ln
-		members[i] = cluster.Member{ID: fmt.Sprintf("n%d", i), Addr: "http://" + ln.Addr().String()}
+	lc, err := cluster.StartLocal(3, cluster.Options{
+		PeerToken:      "probe-secret",
+		PeerAttempts:   2,
+		PeerBaseDelay:  25 * time.Millisecond,
+		ProbeInterval:  50 * time.Millisecond,
+		SuspectAfter:   2,
+		RejoinAfter:    2,
+		DemoteCooldown: -1, // restarts must readmit immediately in this probe
+		Replicas:       1,
+	}, service.Options{Workers: 2})
+	if err != nil {
+		fatalf("membership: %v", err)
 	}
-	nodes := make([]*cluster.Node, n)
-	servers := make([]*http.Server, n)
-	for i := range nodes {
-		node, err := cluster.New(cluster.Options{
-			Self:           members[i].ID,
-			Members:        members,
-			PeerToken:      "probe-secret",
-			PeerAttempts:   2,
-			PeerBaseDelay:  25 * time.Millisecond,
-			ProbeInterval:  50 * time.Millisecond,
-			SuspectAfter:   2,
-			RejoinAfter:    2,
-			DemoteCooldown: -1, // restarts must readmit immediately in this probe
-			Replicas:       1,
-			Logger:         log,
-		}, service.Options{Workers: 2, Logger: log})
-		if err != nil {
-			fatalf("membership node %d: %v", i, err)
-		}
-		nodes[i] = node
-		servers[i] = &http.Server{Handler: node.Handler()}
-		go servers[i].Serve(listeners[i])
-	}
-	defer func() {
-		for i, hs := range servers {
-			if hs != nil {
-				hs.Close()
-			}
-			nodes[i].Stop()
-		}
-	}()
-	addr := func(i int) string { return members[i].Addr }
+	defer lc.Stop(ctx)
+	addr := lc.Addr
 	idx := func(id string) int {
-		for i := range members {
-			if members[i].ID == id {
+		for i := range lc.Members {
+			if lc.Members[i].ID == id {
 				return i
 			}
 		}
@@ -106,38 +73,37 @@ func probeMembership(ctx context.Context) {
 	if err != nil {
 		fatalf("membership: run key: %v", err)
 	}
-	full := nodes[0].Ring()
+	full := lc.Nodes[0].Ring()
 	owner := full.Owner(key).ID
 	succ := full.Successors(key, 1)[0].ID
 	ownerIdx, succIdx := idx(owner), idx(succ)
 	var otherIdx int
-	for i := range members {
+	for i := range lc.Members {
 		if i != ownerIdx && i != succIdx {
 			otherIdx = i
 		}
 	}
 
-	if code, body, _ := postTenant(ctx, addr(ownerIdx)+"/run", runReq, "probe"); code != http.StatusOK {
+	if code, body, _ := post(ctx, addr(ownerIdx)+"/run", runReq, "probe"); code != http.StatusOK {
 		fatalf("membership: fill /run on owner %s: %d %s", owner, code, body)
 	}
-	code, cachedBody, _ := postTenant(ctx, addr(ownerIdx)+"/run", runReq, "probe")
+	code, cachedBody, _ := post(ctx, addr(ownerIdx)+"/run", runReq, "probe")
 	var rr service.RunResponse
 	if code != http.StatusOK || json.Unmarshal([]byte(cachedBody), &rr) != nil || !rr.Cached {
 		fatalf("membership: cached /run on owner: %d %s", code, cachedBody)
 	}
-	waitFor("replica push to "+succ, func() bool { return nodes[succIdx].Server().CacheHas(key) })
+	waitFor("replica push to "+succ, func() bool { return lc.Nodes[succIdx].Server().CacheHas(key) })
 
-	servers[ownerIdx].Close()
-	servers[ownerIdx] = nil
+	lc.Kill(ownerIdx)
 	fmt.Printf("dsprobe: killed owner %s (replica on %s)\n", owner, succ)
 	waitFor("survivors to demote "+owner, func() bool {
-		return nodes[succIdx].PeerState(owner) == "demoted" && nodes[otherIdx].PeerState(owner) == "demoted"
+		return lc.Nodes[succIdx].PeerState(owner) == "demoted" && lc.Nodes[otherIdx].PeerState(owner) == "demoted"
 	})
 
 	// Post directly to the successor — the node now owning the key in the
 	// shrunk live ring — so the replica-hit accounting is observable.
-	hitsBefore := nodes[succIdx].Membership().ReplicaHits
-	code, got, hdr := postTenant(ctx, addr(succIdx)+"/run", runReq, "probe")
+	hitsBefore := lc.Nodes[succIdx].Membership().ReplicaHits
+	code, got, hdr := post(ctx, addr(succIdx)+"/run", runReq, "probe")
 	if code != http.StatusOK {
 		fatalf("membership: /run after owner kill: %d %s", code, got)
 	}
@@ -147,44 +113,38 @@ func probeMembership(ctx context.Context) {
 	if !bytes.Equal([]byte(got), []byte(cachedBody)) {
 		fatalf("membership: replica-served bytes diverge from the owner's cached response\nowner:   %s\nreplica: %s", cachedBody, got)
 	}
-	if hits := nodes[succIdx].Membership().ReplicaHits; hits != hitsBefore+1 {
+	if hits := lc.Nodes[succIdx].Membership().ReplicaHits; hits != hitsBefore+1 {
 		fatalf("membership: successor replica hits = %d, want %d", hits, hitsBefore+1)
 	}
 	fmt.Printf("dsprobe: key served from replica on %s, byte-identical, no recompute\n", succ)
 
 	// Phase 2: restart the owner on its original address; probes readmit
 	// it and forwarding resumes to the original ring layout.
-	hostport := listeners[ownerIdx].Addr().String()
-	var ln net.Listener
-	waitFor("rebind of "+hostport, func() bool {
-		ln, err = net.Listen("tcp", hostport)
-		return err == nil
-	})
-	listeners[ownerIdx] = ln
-	servers[ownerIdx] = &http.Server{Handler: nodes[ownerIdx].Handler()}
-	go servers[ownerIdx].Serve(ln)
+	if err := lc.Restart(ownerIdx); err != nil {
+		fatalf("membership: %v", err)
+	}
 	waitFor("survivors to readmit "+owner, func() bool {
-		return nodes[succIdx].PeerState(owner) == "alive" && nodes[otherIdx].PeerState(owner) == "alive"
+		return lc.Nodes[succIdx].PeerState(owner) == "alive" && lc.Nodes[otherIdx].PeerState(owner) == "alive"
 	})
 	waitFor("ring convergence", func() bool {
 		v := full.Version()
-		return nodes[0].Ring().Version() == v && nodes[1].Ring().Version() == v && nodes[2].Ring().Version() == v
+		return lc.Nodes[0].Ring().Version() == v && lc.Nodes[1].Ring().Version() == v && lc.Nodes[2].Ring().Version() == v
 	})
-	code, got, hdr = postTenant(ctx, addr(otherIdx)+"/run", runReq, "probe")
+	code, got, hdr = post(ctx, addr(otherIdx)+"/run", runReq, "probe")
 	if code != http.StatusOK || hdr.Get("X-DSServe-Node") != owner {
 		fatalf("membership: post-rejoin /run: %d served by %q, want 200 from %q", code, hdr.Get("X-DSServe-Node"), owner)
 	}
 	if !bytes.Equal([]byte(got), []byte(cachedBody)) {
 		fatalf("membership: post-rejoin bytes diverge from the pre-kill cached response")
 	}
-	rejoins := nodes[succIdx].Membership().Rejoins + nodes[otherIdx].Membership().Rejoins
+	rejoins := lc.Nodes[succIdx].Membership().Rejoins + lc.Nodes[otherIdx].Membership().Rejoins
 	fmt.Printf("dsprobe: %s rejoined within the probe window (%d rejoins), forwarding restored\n", owner, rejoins)
 
 	// Phase 3: graceful drain with warm handoff. Fill a key owned by the
 	// drained node, drain it, and require the handed-off key to be a warm
 	// cross-node hit on the remaining members.
 	drainIdx := otherIdx
-	drainID := members[drainIdx].ID
+	drainID := lc.Members[drainIdx].ID
 	drainReq := runReq
 	for drainReq.Workload.N = 40; ; drainReq.Workload.N += 4 {
 		k, err := service.RunKey(drainReq)
@@ -196,28 +156,27 @@ func probeMembership(ctx context.Context) {
 			break
 		}
 	}
-	if code, body, _ := postTenant(ctx, addr(drainIdx)+"/run", drainReq, "probe"); code != http.StatusOK {
+	if code, body, _ := post(ctx, addr(drainIdx)+"/run", drainReq, "probe"); code != http.StatusOK {
 		fatalf("membership: fill /run on drain node %s: %d %s", drainID, code, body)
 	}
-	code, drainCached, _ := postTenant(ctx, addr(drainIdx)+"/run", drainReq, "probe")
+	code, drainCached, _ := post(ctx, addr(drainIdx)+"/run", drainReq, "probe")
 	if code != http.StatusOK {
 		fatalf("membership: cached /run on drain node: %d %s", code, drainCached)
 	}
-	rep := nodes[drainIdx].DrainHandoff(ctx)
+	rep := lc.Nodes[drainIdx].DrainHandoff(ctx)
 	if rep.Entries == 0 || rep.FailedBatches != 0 {
 		fatalf("membership: drain handoff report %+v, want entries > 0 with no failed batches", rep)
 	}
-	servers[drainIdx].Close()
-	servers[drainIdx] = nil
-	nodes[drainIdx].Stop()
+	lc.Kill(drainIdx)
+	lc.Nodes[drainIdx].Stop()
 	waitFor("survivors to drop the drained "+drainID, func() bool {
-		return nodes[ownerIdx].PeerState(drainID) == "demoted" && nodes[succIdx].PeerState(drainID) == "demoted"
+		return lc.Nodes[ownerIdx].PeerState(drainID) == "demoted" && lc.Nodes[succIdx].PeerState(drainID) == "demoted"
 	})
-	code, got, _ = postTenant(ctx, addr(ownerIdx)+"/run", drainReq, "probe")
+	code, got, _ = post(ctx, addr(ownerIdx)+"/run", drainReq, "probe")
 	if code != http.StatusOK || json.Unmarshal([]byte(got), &rr) != nil || !rr.Cached {
 		fatalf("membership: handed-off key was not a warm hit on the survivors: %d %s", code, got)
 	}
-	recv := nodes[ownerIdx].Membership().HandoffRecvEntries + nodes[succIdx].Membership().HandoffRecvEntries
+	recv := lc.Nodes[ownerIdx].Membership().HandoffRecvEntries + lc.Nodes[succIdx].Membership().HandoffRecvEntries
 	if recv < int64(rep.Entries) {
 		fatalf("membership: survivors imported %d handoff entries, drained node sent %d", recv, rep.Entries)
 	}
@@ -229,7 +188,7 @@ func probeMembership(ctx context.Context) {
 		Scheme:   service.SchemeSpec{Name: "process"},
 		Grid:     service.SweepGrid{X: []int{2, 4}, P: []int{2, 4, 8}, Chunk: []int64{1, 2}},
 	}
-	code, body, _ := postTenant(ctx, addr(succIdx)+"/sweep", sweep, "probe")
+	code, body, _ := post(ctx, addr(succIdx)+"/sweep", sweep, "probe")
 	if code != http.StatusOK {
 		fatalf("membership: post-drain sweep: %d %s", code, body)
 	}
@@ -237,14 +196,12 @@ func probeMembership(ctx context.Context) {
 	if err := json.Unmarshal([]byte(body), &gotSweep); err != nil {
 		fatalf("membership: decode post-drain sweep: %v", err)
 	}
-	oracleSrv := service.NewServer(service.Options{Workers: 4, Logger: log})
-	defer oracleSrv.Drain(context.Background())
-	oracle, err := oracleSrv.EvalSweep(ctx, sweep)
+	oracle, err := cluster.SweepOracle(ctx, sweep)
 	if err != nil {
 		fatalf("membership: oracle sweep: %v", err)
 	}
-	if !sweepEqual(&gotSweep, oracle) || gotSweep.Failed != 0 {
-		fatalf("membership: post-drain sweep diverges from the single-node oracle (%d failed)\n%s", gotSweep.Failed, body)
+	if diff := cluster.SweepMismatch(&gotSweep, oracle); diff != "" || gotSweep.Failed != 0 {
+		fatalf("membership: post-drain sweep diverges from the single-node oracle (%d failed) %s\n%s", gotSweep.Failed, diff, body)
 	}
 	fmt.Printf("dsprobe: post-drain sweep matches oracle (%d points)\n", len(gotSweep.Points))
 	fmt.Println("dsprobe: kill/replica-serve/rejoin/drain-handoff cycle verified")

@@ -4,9 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"log/slog"
-	"net"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -30,53 +27,10 @@ func (c *probeClock) now() time.Time {
 	return c.base.Add(time.Duration(c.offsetMS.Load()) * time.Millisecond)
 }
 
-// probeNodes is one in-process cluster: nodes, their listeners, and the
-// teardown that stops everything.
-type probeNodes struct {
-	members []cluster.Member
-	nodes   []*cluster.Node
-	servers []*http.Server
-}
-
-func startProbeCluster(size int, opts cluster.Options) *probeNodes {
-	log := slog.New(slog.NewTextHandler(io.Discard, nil))
-	pc := &probeNodes{}
-	listeners := make([]net.Listener, size)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fatalf("partition listen: %v", err)
-		}
-		listeners[i] = ln
-		pc.members = append(pc.members, cluster.Member{ID: fmt.Sprintf("n%d", i), Addr: "http://" + ln.Addr().String()})
-	}
-	for i, ln := range listeners {
-		o := opts
-		o.Self = pc.members[i].ID
-		o.Members = pc.members
-		o.Logger = log
-		node, err := cluster.New(o, service.Options{Workers: 2, Logger: log})
-		if err != nil {
-			fatalf("partition node %d: %v", i, err)
-		}
-		hs := &http.Server{Handler: node.Handler()}
-		go hs.Serve(ln)
-		pc.nodes = append(pc.nodes, node)
-		pc.servers = append(pc.servers, hs)
-	}
-	return pc
-}
-
-func (pc *probeNodes) stop() {
-	for i, hs := range pc.servers {
-		hs.Close()
-		pc.nodes[i].Stop()
-	}
-}
-
-func (pc *probeNodes) linkTotals() fault.LinkCounts {
+// linkTotals sums the injected link-fault counts over every node.
+func linkTotals(lc *cluster.Local) fault.LinkCounts {
 	var sum fault.LinkCounts
-	for _, n := range pc.nodes {
+	for _, n := range lc.Nodes {
 		sum = sum.Add(n.LinkCounts())
 	}
 	return sum
@@ -100,14 +54,17 @@ func probePartition(ctx context.Context) {
 	// ---- Phase A: seeded chaos is reproducible run-to-run.
 	chaos := &fault.LinkPlan{Seed: 7, DropProb: 0.2, DelayProb: 0.2, DelayMS: 5, DupProb: 0.2}
 	leg := func() (fault.LinkCounts, string) {
-		pc := startProbeCluster(3, cluster.Options{
+		lc, err := cluster.StartLocal(3, cluster.Options{
 			PeerAttempts:        2,
 			PeerBaseDelay:       5 * time.Millisecond,
 			Replicas:            -1, // only the driver's forwards touch the links
 			AntiEntropyInterval: -1,
 			LinkFaults:          chaos,
-		})
-		defer pc.stop()
+		}, service.Options{Workers: 2})
+		if err != nil {
+			fatalf("partition: %v", err)
+		}
+		defer lc.Stop(ctx)
 		var digest strings.Builder
 		for i := 0; i < 60; i++ {
 			req := service.RunRequest{
@@ -115,10 +72,10 @@ func probePartition(ctx context.Context) {
 				Scheme:   service.SchemeSpec{Name: "process", X: 4},
 				Config:   service.ConfigSpec{P: 4},
 			}
-			code, _, hdr := postTenant(ctx, pc.members[i%3].Addr+"/run", req, "probe")
+			code, _, hdr := post(ctx, lc.Addr(i%3)+"/run", req, "probe")
 			fmt.Fprintf(&digest, "%d:%d:%s ", i, code, hdr.Get("X-DSServe-Node"))
 		}
-		return pc.linkTotals(), digest.String()
+		return linkTotals(lc), digest.String()
 	}
 	counts1, digest1 := leg()
 	counts2, digest2 := leg()
@@ -142,7 +99,7 @@ func probePartition(ctx context.Context) {
 			{Name: "split", Islands: [][]string{{"n2"}}, StartMS: 1000, HealMS: 2000},
 		},
 	}
-	pc := startProbeCluster(3, cluster.Options{
+	lc, err := cluster.StartLocal(3, cluster.Options{
 		PeerToken:     "probe-secret",
 		PeerAttempts:  2,
 		PeerBaseDelay: 25 * time.Millisecond,
@@ -157,9 +114,12 @@ func probePartition(ctx context.Context) {
 		AntiEntropyInterval: 200 * time.Millisecond,
 		LinkFaults:          plan,
 		LinkClock:           clk.now,
-	})
-	defer pc.stop()
-	addr := func(i int) string { return pc.members[i].Addr }
+	}, service.Options{Workers: 2})
+	if err != nil {
+		fatalf("partition: %v", err)
+	}
+	defer lc.Stop(ctx)
+	addr := lc.Addr
 	waitFor := func(what string, cond func() bool) {
 		deadline := time.Now().Add(15 * time.Second)
 		for !cond() {
@@ -169,10 +129,10 @@ func probePartition(ctx context.Context) {
 			time.Sleep(20 * time.Millisecond)
 		}
 	}
-	full := pc.nodes[0].Ring()
+	full := lc.Nodes[0].Ring()
 
 	// Pre-partition sanity: the episode has not started, requests flow.
-	if code, body, _ := postTenant(ctx, addr(2)+"/run", service.RunRequest{
+	if code, body, _ := post(ctx, addr(2)+"/run", service.RunRequest{
 		Workload: service.WorkloadSpec{Name: "fig21", N: 24},
 		Scheme:   service.SchemeSpec{Name: "process", X: 4},
 		Config:   service.ConfigSpec{P: 4},
@@ -183,8 +143,8 @@ func probePartition(ctx context.Context) {
 	// Open the partition window: n2 is cut from {n0, n1} in both directions.
 	clk.offsetMS.Store(1500)
 	waitFor("both sides to see the partition", func() bool {
-		return pc.nodes[0].PeerState("n2") == "demoted" && pc.nodes[1].PeerState("n2") == "demoted" &&
-			pc.nodes[2].PeerState("n0") == "demoted" && pc.nodes[2].PeerState("n1") == "demoted"
+		return lc.Nodes[0].PeerState("n2") == "demoted" && lc.Nodes[1].PeerState("n2") == "demoted" &&
+			lc.Nodes[2].PeerState("n0") == "demoted" && lc.Nodes[2].PeerState("n1") == "demoted"
 	})
 	fmt.Println("dsprobe: partition open; both sides demoted across the cut")
 
@@ -194,21 +154,18 @@ func probePartition(ctx context.Context) {
 		Scheme:   service.SchemeSpec{Name: "process"},
 		Grid:     service.SweepGrid{X: []int{2, 4}, P: []int{2, 4}, Chunk: []int64{1, 2}},
 	}
-	code, body, _ := postTenant(ctx, addr(2)+"/sweep", sweep, "probe")
+	code, body, _ := post(ctx, addr(2)+"/sweep", sweep, "probe")
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, "refuses to coordinate") {
 		fatalf("partition: minority /sweep answered %d %s, want a 503 refusal", code, body)
 	}
 	fmt.Println("dsprobe: minority node refused sweep coordination with 503")
 
 	// The majority's sweep must match the single-node oracle.
-	log := slog.New(slog.NewTextHandler(io.Discard, nil))
-	oracleSrv := service.NewServer(service.Options{Workers: 4, Logger: log})
-	defer oracleSrv.Drain(context.Background())
-	oracle, err := oracleSrv.EvalSweep(ctx, sweep)
+	oracle, err := cluster.SweepOracle(ctx, sweep)
 	if err != nil {
 		fatalf("partition: oracle sweep: %v", err)
 	}
-	code, body, _ = postTenant(ctx, addr(0)+"/sweep", sweep, "probe")
+	code, body, _ = post(ctx, addr(0)+"/sweep", sweep, "probe")
 	if code != http.StatusOK {
 		fatalf("partition: majority /sweep: %d %s", code, body)
 	}
@@ -216,8 +173,8 @@ func probePartition(ctx context.Context) {
 	if err := json.Unmarshal([]byte(body), &got); err != nil {
 		fatalf("partition: decode majority sweep: %v", err)
 	}
-	if got.Failed != 0 || !sweepEqual(&got, oracle) {
-		fatalf("partition: majority sweep diverges from the oracle (%d failed)\n%s", got.Failed, body)
+	if diff := cluster.SweepMismatch(&got, oracle); diff != "" || got.Failed != 0 {
+		fatalf("partition: majority sweep diverges from the oracle (%d failed) %s\n%s", got.Failed, diff, body)
 	}
 	fmt.Printf("dsprobe: majority sweep matches oracle during the partition (%d points)\n", len(got.Points))
 
@@ -241,7 +198,7 @@ func probePartition(ctx context.Context) {
 		}
 	}
 	for _, req := range repairReqs {
-		if code, body, _ := postTenant(ctx, addr(0)+"/run", req, "probe"); code != http.StatusOK {
+		if code, body, _ := post(ctx, addr(0)+"/run", req, "probe"); code != http.StatusOK {
 			fatalf("partition: mid-partition fill: %d %s", code, body)
 		}
 	}
@@ -250,8 +207,8 @@ func probePartition(ctx context.Context) {
 	clk.offsetMS.Store(2500)
 	waitFor("rings to converge after the heal", func() bool {
 		v := full.Version()
-		return pc.nodes[0].Ring().Version() == v && pc.nodes[1].Ring().Version() == v &&
-			pc.nodes[2].Ring().Version() == v
+		return lc.Nodes[0].Ring().Version() == v && lc.Nodes[1].Ring().Version() == v &&
+			lc.Nodes[2].Ring().Version() == v
 	})
 	fmt.Println("dsprobe: partition healed; all rings converged to the full membership")
 
@@ -260,14 +217,14 @@ func probePartition(ctx context.Context) {
 	// under-replicated keys on every node.
 	waitFor("anti-entropy to push the starved replicas to n2", func() bool {
 		for _, k := range repairKeys {
-			if !pc.nodes[2].Server().CacheHas(k) {
+			if !lc.Nodes[2].Server().CacheHas(k) {
 				return false
 			}
 		}
 		return true
 	})
 	waitFor("anti-entropy scans to settle at zero under-replicated keys", func() bool {
-		for _, n := range pc.nodes {
+		for _, n := range lc.Nodes {
 			if _, _, under := n.AntiEntropyStats(); under != 0 {
 				return false
 			}
@@ -275,7 +232,7 @@ func probePartition(ctx context.Context) {
 		return true
 	})
 	var pushes int64
-	for _, n := range pc.nodes {
+	for _, n := range lc.Nodes {
 		_, p, _ := n.AntiEntropyStats()
 		pushes += p
 	}
@@ -285,18 +242,18 @@ func probePartition(ctx context.Context) {
 	fmt.Printf("dsprobe: anti-entropy restored replication factor (%d pushes, 0 under-replicated)\n", pushes)
 
 	// The healed minority node coordinates again, oracle-identical.
-	code, body, _ = postTenant(ctx, addr(2)+"/sweep", sweep, "probe")
+	code, body, _ = post(ctx, addr(2)+"/sweep", sweep, "probe")
 	if code != http.StatusOK {
 		fatalf("partition: post-heal /sweep via n2: %d %s", code, body)
 	}
 	if err := json.Unmarshal([]byte(body), &got); err != nil {
 		fatalf("partition: decode post-heal sweep: %v", err)
 	}
-	if got.Failed != 0 || !sweepEqual(&got, oracle) {
-		fatalf("partition: post-heal sweep diverges from the oracle (%d failed)\n%s", got.Failed, body)
+	if diff := cluster.SweepMismatch(&got, oracle); diff != "" || got.Failed != 0 {
+		fatalf("partition: post-heal sweep diverges from the oracle (%d failed) %s\n%s", got.Failed, diff, body)
 	}
 
-	totals := pc.linkTotals()
+	totals := linkTotals(lc)
 	if totals.Partition == 0 {
 		fatalf("partition: no partition-kind faults were injected (counts %+v)", totals)
 	}

@@ -57,16 +57,16 @@ func (n *Node) handleHas(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		if isBodyTooLarge(err) {
-			n.writeError(w, http.StatusRequestEntityTooLarge,
+			n.writeJSON(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("cluster: has query exceeds %d bytes", maxBody))
 			return
 		}
-		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: read has query: %w", err))
+		n.writeJSON(w, http.StatusBadRequest, fmt.Errorf("cluster: read has query: %w", err))
 		return
 	}
 	var req hasRequest
 	if err := service.DecodeStrict(body, &req); err != nil {
-		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode has query: %w", err))
+		n.writeJSON(w, http.StatusBadRequest, fmt.Errorf("cluster: decode has query: %w", err))
 		return
 	}
 	resp := hasResponse{Has: make([]bool, len(req.Keys))}
@@ -74,7 +74,7 @@ func (n *Node) handleHas(w http.ResponseWriter, r *http.Request) {
 		k, err := cache.ParseKey(ks)
 		resp.Has[i] = err == nil && n.srv.CacheHas(k)
 	}
-	n.writeJSON(w, resp)
+	n.writeJSON(w, http.StatusOK, resp)
 }
 
 // antiEntropyLoop runs AntiEntropyScan on ring-transition kicks and on the

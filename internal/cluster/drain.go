@@ -221,16 +221,16 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxHandoffBody))
 	if err != nil {
 		if isBodyTooLarge(err) {
-			n.writeError(w, http.StatusRequestEntityTooLarge,
+			n.writeJSON(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("cluster: handoff body exceeds %d bytes", maxHandoffBody))
 			return
 		}
-		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: read handoff: %w", err))
+		n.writeJSON(w, http.StatusBadRequest, fmt.Errorf("cluster: read handoff: %w", err))
 		return
 	}
 	var req HandoffRequest
 	if err := service.DecodeStrict(body, &req); err != nil {
-		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode handoff: %w", err))
+		n.writeJSON(w, http.StatusBadRequest, fmt.Errorf("cluster: decode handoff: %w", err))
 		return
 	}
 	imported := 0
@@ -247,7 +247,7 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	n.handoffRecvBytes.Add(importedBytes)
 	n.log.Debug("cluster: handoff received",
 		"from", req.From, "reason", req.Reason, "entries", imported, "bytes", importedBytes)
-	n.writeJSON(w, handoffResponse{Imported: imported})
+	n.writeJSON(w, http.StatusOK, handoffResponse{Imported: imported})
 }
 
 // handleDeparting demotes the announcing peer (drain cause: authoritative,
@@ -256,23 +256,23 @@ func (n *Node) handleDeparting(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		if isBodyTooLarge(err) {
-			n.writeError(w, http.StatusRequestEntityTooLarge,
+			n.writeJSON(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("cluster: departure body exceeds %d bytes", maxBody))
 			return
 		}
-		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: read departure: %w", err))
+		n.writeJSON(w, http.StatusBadRequest, fmt.Errorf("cluster: read departure: %w", err))
 		return
 	}
 	var req departingRequest
 	if err := service.DecodeStrict(body, &req); err != nil {
-		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode departure: %w", err))
+		n.writeJSON(w, http.StatusBadRequest, fmt.Errorf("cluster: decode departure: %w", err))
 		return
 	}
 	if req.Node == "" {
-		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: departure without a node ID"))
+		n.writeJSON(w, http.StatusBadRequest, fmt.Errorf("cluster: departure without a node ID"))
 		return
 	}
 	n.log.Info("cluster: peer announced departure", "peer", req.Node)
 	n.demote(req.Node, causeDrain)
-	n.writeJSON(w, map[string]any{"ok": true})
+	n.writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 }

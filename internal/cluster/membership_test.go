@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -30,29 +29,6 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", msg)
-}
-
-// restart re-listens on node i's original address and serves its handler
-// again — the in-process analogue of restarting a crashed dsserve on the
-// same host:port.
-func (tc *testCluster) restart(t *testing.T, i int) {
-	t.Helper()
-	addr := strings.TrimPrefix(tc.addrs[i], "http://")
-	var ln net.Listener
-	var err error
-	for attempt := 0; attempt < 100; attempt++ {
-		ln, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("rebind %s: %v", addr, err)
-	}
-	hs := &http.Server{Handler: tc.nodes[i].Handler()}
-	go hs.Serve(ln)
-	tc.servers[i] = hs
 }
 
 // quietNode builds a standalone Node (no HTTP listener) for state-machine
@@ -91,7 +67,7 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := tc.nodes[0].full
+	full := tc.Nodes[0].full
 	owner := full.Owner(key)
 	succs := full.Successors(key, 1)
 	if len(succs) != 1 {
@@ -99,7 +75,7 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 	}
 	victimIdx, succIdx := -1, -1
 	var survivors []int
-	for i, n := range tc.nodes {
+	for i, n := range tc.Nodes {
 		switch n.self.ID {
 		case owner.ID:
 			victimIdx = i
@@ -115,11 +91,11 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 	}
 
 	// Fill the key on its owner, then fetch the canonical cached bytes.
-	resp, body := postNode(t, tc.addrs[victimIdx], "/run", testRunReq, nil)
+	resp, body := postNode(t, tc.Addr(victimIdx), "/run", testRunReq, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fill: %d %s", resp.StatusCode, body)
 	}
-	resp, cachedBody := postNode(t, tc.addrs[victimIdx], "/run", testRunReq, nil)
+	resp, cachedBody := postNode(t, tc.Addr(victimIdx), "/run", testRunReq, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cached fetch: %d %s", resp.StatusCode, cachedBody)
 	}
@@ -133,25 +109,25 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 
 	// K-successor replication lands the entry on the successor.
 	waitFor(t, 5*time.Second, func() bool {
-		return tc.nodes[succIdx].Server().CacheHas(key)
+		return tc.Nodes[succIdx].Server().CacheHas(key)
 	}, "replica push to the successor")
 
 	// Kill the owner; the survivors' probes demote it.
-	tc.kill(victimIdx)
+	tc.Kill(victimIdx)
 	for _, i := range survivors {
 		i := i
 		waitFor(t, 5*time.Second, func() bool {
-			return tc.nodes[i].PeerState(owner.ID) == "demoted"
-		}, fmt.Sprintf("%s demoting %s", tc.nodes[i].self.ID, owner.ID))
+			return tc.Nodes[i].PeerState(owner.ID) == "demoted"
+		}, fmt.Sprintf("%s demoting %s", tc.Nodes[i].self.ID, owner.ID))
 	}
-	if live := tc.nodes[succIdx].Ring(); live.Owner(key).ID != succs[0].ID {
+	if live := tc.Nodes[succIdx].Ring(); live.Owner(key).ID != succs[0].ID {
 		t.Fatalf("post-demotion live owner = %s, want successor %s", live.Owner(key).ID, succs[0].ID)
 	}
 
 	// The successor serves the dead owner's key from its replica: same
 	// bytes, no recompute, replica-hit counted.
-	beforeHits := tc.nodes[succIdx].Membership().ReplicaHits
-	resp, replicaBody := postNode(t, tc.addrs[succIdx], "/run", testRunReq, nil)
+	beforeHits := tc.Nodes[succIdx].Membership().ReplicaHits
+	resp, replicaBody := postNode(t, tc.Addr(succIdx), "/run", testRunReq, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("replica serve: %d %s", resp.StatusCode, replicaBody)
 	}
@@ -161,31 +137,33 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 	if !bytes.Equal(replicaBody, cachedBody) {
 		t.Errorf("replica response bytes differ from the pre-kill cached response:\npre-kill: %s\nreplica:  %s", cachedBody, replicaBody)
 	}
-	if got := tc.nodes[succIdx].Membership().ReplicaHits; got != beforeHits+1 {
+	if got := tc.Nodes[succIdx].Membership().ReplicaHits; got != beforeHits+1 {
 		t.Errorf("successor replicaHits = %d, want %d", got, beforeHits+1)
 	}
 
 	// Restart the victim on its original address: the survivors' probes
 	// readmit it without any other process restarting.
-	tc.restart(t, victimIdx)
+	if err := tc.Restart(victimIdx); err != nil {
+		t.Fatal(err)
+	}
 	for _, i := range survivors {
 		i := i
 		waitFor(t, 5*time.Second, func() bool {
-			return tc.nodes[i].PeerState(owner.ID) == "alive"
-		}, fmt.Sprintf("%s readmitting %s", tc.nodes[i].self.ID, owner.ID))
+			return tc.Nodes[i].PeerState(owner.ID) == "alive"
+		}, fmt.Sprintf("%s readmitting %s", tc.Nodes[i].self.ID, owner.ID))
 	}
 	for _, i := range survivors {
-		if got := tc.nodes[i].Ring().Version(); got != full.Version() {
+		if got := tc.Nodes[i].Ring().Version(); got != full.Version() {
 			t.Errorf("%s ring version %s after rejoin, want the full membership's %s",
-				tc.nodes[i].self.ID, got, full.Version())
+				tc.Nodes[i].self.ID, got, full.Version())
 		}
-		if ms := tc.nodes[i].Membership(); ms.Rejoins < 1 || ms.Demotions < 1 {
-			t.Errorf("%s rejoins=%d demotions=%d, want both >= 1", tc.nodes[i].self.ID, ms.Rejoins, ms.Demotions)
+		if ms := tc.Nodes[i].Membership(); ms.Rejoins < 1 || ms.Demotions < 1 {
+			t.Errorf("%s rejoins=%d demotions=%d, want both >= 1", tc.Nodes[i].self.ID, ms.Rejoins, ms.Demotions)
 		}
 	}
 
 	// Forwards reach the restarted node again.
-	resp, body = postNode(t, tc.addrs[survivors[0]], "/run", testRunReq, nil)
+	resp, body = postNode(t, tc.Addr(survivors[0]), "/run", testRunReq, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-rejoin fetch: %d %s", resp.StatusCode, body)
 	}
@@ -203,7 +181,7 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 func TestClusterDrainHandoffWarmHitRate(t *testing.T) {
 	tc := startCluster(t, 3, Options{PeerToken: "s3cret", Replicas: -1})
 
-	full := tc.nodes[0].full
+	full := tc.Nodes[0].full
 	var reqs []service.RunRequest
 	var keys []cache.Key
 	for n := int64(8); len(reqs) < 10 && n < 400; n += 4 {
@@ -223,13 +201,13 @@ func TestClusterDrainHandoffWarmHitRate(t *testing.T) {
 	}
 
 	for i, req := range reqs {
-		resp, body := postNode(t, tc.addrs[0], "/run", req, nil)
+		resp, body := postNode(t, tc.Addr(0), "/run", req, nil)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("fill %d: %d %s", i, resp.StatusCode, body)
 		}
 	}
 
-	rep := tc.nodes[0].DrainHandoff(context.Background())
+	rep := tc.Nodes[0].DrainHandoff(context.Background())
 	if rep.Entries < len(reqs) {
 		t.Fatalf("handoff delivered %d entries, want >= %d (report %+v)", rep.Entries, len(reqs), rep)
 	}
@@ -239,8 +217,8 @@ func TestClusterDrainHandoffWarmHitRate(t *testing.T) {
 
 	// The departure announcement demoted n0 everywhere (drain cause).
 	for _, i := range []int{1, 2} {
-		if got := tc.nodes[i].PeerState("n0"); got != "demoted" {
-			t.Errorf("%s holds n0 %q after its departure announcement, want demoted", tc.nodes[i].self.ID, got)
+		if got := tc.Nodes[i].PeerState("n0"); got != "demoted" {
+			t.Errorf("%s holds n0 %q after its departure announcement, want demoted", tc.Nodes[i].self.ID, got)
 		}
 	}
 
@@ -252,12 +230,12 @@ func TestClusterDrainHandoffWarmHitRate(t *testing.T) {
 	for i, req := range reqs {
 		newOwnerID := rest.Owner(keys[i]).ID
 		idx := -1
-		for j, n := range tc.nodes {
+		for j, n := range tc.Nodes {
 			if n.self.ID == newOwnerID {
 				idx = j
 			}
 		}
-		resp, body := postNode(t, tc.addrs[idx], "/run", req, nil)
+		resp, body := postNode(t, tc.Addr(idx), "/run", req, nil)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("post-handoff fetch %d: %d %s", i, resp.StatusCode, body)
 		}
@@ -272,7 +250,7 @@ func TestClusterDrainHandoffWarmHitRate(t *testing.T) {
 	if hits*10 < len(reqs)*9 {
 		t.Errorf("warm hit rate %d/%d after handoff, want >= 90%%", hits, len(reqs))
 	}
-	recv := tc.nodes[1].Membership().HandoffRecvEntries + tc.nodes[2].Membership().HandoffRecvEntries
+	recv := tc.Nodes[1].Membership().HandoffRecvEntries + tc.Nodes[2].Membership().HandoffRecvEntries
 	if recv < int64(len(reqs)) {
 		t.Errorf("survivors imported %d entries, want >= %d", recv, len(reqs))
 	}
@@ -444,7 +422,7 @@ func TestHealthzDegradedOnMajorityDemoted(t *testing.T) {
 	tc := startCluster(t, 3, Options{Replicas: -1})
 
 	get := func() (int, map[string]any) {
-		resp, err := http.Get(tc.addrs[0] + "/healthz")
+		resp, err := http.Get(tc.Addr(0) + "/healthz")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,12 +439,12 @@ func TestHealthzDegradedOnMajorityDemoted(t *testing.T) {
 		t.Fatalf("healthy node: %d %v, want 200 ok", code, m)
 	}
 
-	tc.nodes[0].demote("n1", causeProbe)
+	tc.Nodes[0].demote("n1", causeProbe)
 	if code, _ := get(); code != http.StatusOK {
 		t.Fatalf("1 of 2 peers demoted is not a majority: got %d, want 200", code)
 	}
 
-	tc.nodes[0].demote("n2", causeProbe)
+	tc.Nodes[0].demote("n2", causeProbe)
 	code, m := get()
 	if code != http.StatusServiceUnavailable || m["status"] != "degraded" {
 		t.Fatalf("majority demoted: %d %v, want 503 degraded", code, m)
@@ -475,7 +453,7 @@ func TestHealthzDegradedOnMajorityDemoted(t *testing.T) {
 		t.Error("degraded healthz carries no reason")
 	}
 
-	resp, err := http.Get(tc.addrs[0] + "/metrics")
+	resp, err := http.Get(tc.Addr(0) + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -569,7 +569,7 @@ func (n *Node) middleware(inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		forwarded := r.Header.Get(HeaderForwarded) != ""
 		if forwarded && n.opts.PeerToken != "" && r.Header.Get(HeaderPeerToken) != n.opts.PeerToken {
-			n.writeError(w, http.StatusForbidden, fmt.Errorf("cluster: invalid peer token"))
+			n.writeJSON(w, http.StatusForbidden, fmt.Errorf("cluster: invalid peer token"))
 			return
 		}
 		if forwarded {
@@ -588,7 +588,7 @@ func (n *Node) middleware(inner http.Handler) http.Handler {
 			if fence := r.Header.Get(HeaderSweepFence); fence != "" {
 				if live := n.ring.Load().Version(); fence != live {
 					n.ringFenceRejects.Add(1)
-					n.writeError(w, http.StatusConflict,
+					n.writeJSON(w, http.StatusConflict,
 						fmt.Errorf("cluster: ring version skew: dispatch fenced at %s, executor live at %s", fence, live))
 					return
 				}
@@ -599,7 +599,7 @@ func (n *Node) middleware(inner http.Handler) http.Handler {
 			// token check above already ran for forwarded requests), and no
 			// admission — cache transfer must work while a tenant is shed.
 			if !forwarded {
-				n.writeError(w, http.StatusForbidden,
+				n.writeJSON(w, http.StatusForbidden,
 					fmt.Errorf("cluster: %s is peer-internal", r.URL.Path))
 				return
 			}
@@ -611,7 +611,7 @@ func (n *Node) middleware(inner http.Handler) http.Handler {
 			case "/internal/has":
 				n.handleHas(w, r)
 			default:
-				n.writeError(w, http.StatusNotFound,
+				n.writeJSON(w, http.StatusNotFound,
 					fmt.Errorf("cluster: unknown peer-internal endpoint %s", r.URL.Path))
 			}
 			return
@@ -630,7 +630,7 @@ func (n *Node) middleware(inner http.Handler) http.Handler {
 			release, retryAfter, ok := n.adm.Admit(r.Header.Get(HeaderTenant))
 			if !ok {
 				w.Header().Set("Retry-After", strconv.Itoa(int((retryAfter+time.Second-1)/time.Second)))
-				n.writeError(w, http.StatusTooManyRequests,
+				n.writeJSON(w, http.StatusTooManyRequests,
 					fmt.Errorf("cluster: tenant over admission limits; retry later"))
 				return
 			}
@@ -733,7 +733,7 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner Member, bod
 			// health, so it must not be marked dead — one impatient client
 			// must never shrink the ring. Same guard the sweep dispatch
 			// path applies before its MarkDead.
-			n.writeError(w, statusClientClosedRequest,
+			n.writeJSON(w, statusClientClosedRequest,
 				fmt.Errorf("cluster: request canceled while forwarding to %s: %w", owner.ID, ctxErr))
 			return true
 		}
@@ -837,25 +837,20 @@ func (n *Node) metricsAppend(w io.Writer) {
 	}
 }
 
-// writeJSON renders a 200 JSON response for the cluster-owned endpoints.
-func (n *Node) writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(HeaderNode, n.self.ID)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		n.log.Error("cluster: encode response", "err", err)
+// writeJSON renders a JSON response for the cluster-owned endpoints. An
+// error value renders as the service's {"error": ...} body.
+func (n *Node) writeJSON(w http.ResponseWriter, code int, v any) {
+	if err, ok := v.(error); ok {
+		v = struct {
+			Error string `json:"error"`
+		}{Error: service.OneLine(err)}
 	}
-}
-
-// writeError mirrors the service's JSON error rendering.
-func (n *Node) writeError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(HeaderNode, n.self.ID)
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(struct {
-		Error string `json:"error"`
-	}{Error: service.OneLine(err)})
+	if err := enc.Encode(v); err != nil {
+		n.log.Error("cluster: encode response", "err", err)
+	}
 }

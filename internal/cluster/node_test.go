@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -16,69 +14,63 @@ import (
 	"github.com/csrd-repro/datasync/internal/service"
 )
 
-// testCluster is N in-process nodes listening on real TCP ports, so peer
-// forwarding exercises the same HTTP path production uses.
-type testCluster struct {
-	nodes   []*Node
-	addrs   []string
-	servers []*http.Server
-}
-
-func startCluster(t *testing.T, size int, opts Options) *testCluster {
+// startCluster boots a Local cluster with test defaults — 2 peer attempts
+// 5 ms apart, 4 workers per node — and stops it when the test ends.
+func startCluster(t *testing.T, size int, opts Options) *Local {
 	t.Helper()
-	tc := &testCluster{}
-	listeners := make([]net.Listener, size)
-	members := make([]Member, size)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addr := "http://" + ln.Addr().String()
-		tc.addrs = append(tc.addrs, addr)
-		members[i] = Member{ID: fmt.Sprintf("n%d", i), Addr: addr}
+	if opts.PeerAttempts == 0 {
+		opts.PeerAttempts = 2
 	}
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	for i, ln := range listeners {
-		o := opts
-		o.Self = members[i].ID
-		o.Members = members
-		o.Logger = quiet
-		if o.PeerAttempts == 0 {
-			o.PeerAttempts = 2
-		}
-		if o.PeerBaseDelay == 0 {
-			o.PeerBaseDelay = 5 * time.Millisecond
-		}
-		node, err := New(o, service.Options{Workers: 4, Logger: quiet})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs := &http.Server{Handler: node.Handler()}
-		go hs.Serve(ln)
-		tc.nodes = append(tc.nodes, node)
-		tc.servers = append(tc.servers, hs)
+	if opts.PeerBaseDelay == 0 {
+		opts.PeerBaseDelay = 5 * time.Millisecond
+	}
+	tc, err := StartLocal(size, opts, service.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		for i := range tc.servers {
-			tc.kill(i)
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		for _, n := range tc.nodes {
-			n.Stop()
-			n.Server().Drain(ctx)
-		}
+		tc.Stop(ctx)
 	})
 	return tc
 }
 
-// kill hard-stops node i's HTTP server (listener and live connections).
-func (tc *testCluster) kill(i int) {
-	if tc.servers[i] != nil {
-		tc.servers[i].Close()
-		tc.servers[i] = nil
+// checkSweepOracle fails the test unless got is the single-node answer to
+// sweep, modulo cache provenance.
+func checkSweepOracle(t *testing.T, sweep service.SweepRequest, got *service.SweepResponse) {
+	t.Helper()
+	oracle, err := SweepOracle(context.Background(), sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := SweepMismatch(got, oracle); diff != "" {
+		t.Errorf("cluster sweep diverges from the single-node oracle: %s", diff)
+	}
+}
+
+// TestSweepMismatch: the oracle comparison ignores cache provenance and
+// nothing else — a changed point, a changed front or a missing front point
+// is a mismatch.
+func TestSweepMismatch(t *testing.T) {
+	pt := func(cycles int64, cached bool) service.SweepPoint {
+		return service.SweepPoint{X: 2, P: 4, Scheme: "process", Cycles: cycles, Cached: cached}
+	}
+	oracle := &service.SweepResponse{Workload: "fig21",
+		Points: []service.SweepPoint{pt(10, false), pt(20, false)}, Pareto: []service.SweepPoint{pt(10, false)}}
+	same := &service.SweepResponse{Workload: "fig21",
+		Points: []service.SweepPoint{pt(10, true), pt(20, false)}, Pareto: []service.SweepPoint{pt(10, true)}}
+	if diff := SweepMismatch(same, oracle); diff != "" {
+		t.Errorf("cache provenance alone reported as a mismatch: %s", diff)
+	}
+	for name, bad := range map[string]*service.SweepResponse{
+		"point":  {Workload: "fig21", Points: []service.SweepPoint{pt(10, false), pt(21, false)}, Pareto: oracle.Pareto},
+		"front":  {Workload: "fig21", Points: oracle.Points, Pareto: []service.SweepPoint{pt(20, false)}},
+		"length": {Workload: "fig21", Points: oracle.Points},
+	} {
+		if SweepMismatch(bad, oracle) == "" {
+			t.Errorf("a differing %s went unreported", name)
+		}
 	}
 }
 
@@ -125,11 +117,11 @@ func TestClusterForwardAndCrossNodeCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := tc.nodes[0].Ring().Owner(key)
+	owner := tc.Nodes[0].Ring().Owner(key)
 
 	// Pick two distinct edge nodes that do not own the key.
 	var edges []int
-	for i, n := range tc.nodes {
+	for i, n := range tc.Nodes {
 		if n.self.ID != owner.ID {
 			edges = append(edges, i)
 		}
@@ -138,9 +130,9 @@ func TestClusterForwardAndCrossNodeCacheHit(t *testing.T) {
 		t.Fatalf("want 2 non-owner nodes in a 3-node ring, got %d", len(edges))
 	}
 
-	resp, body := postNode(t, tc.addrs[edges[0]], "/run", testRunReq, nil)
+	resp, body := postNode(t, tc.Addr(edges[0]), "/run", testRunReq, nil)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("first /run via %s: %d %s", tc.nodes[edges[0]].self.ID, resp.StatusCode, body)
+		t.Fatalf("first /run via %s: %d %s", tc.Nodes[edges[0]].self.ID, resp.StatusCode, body)
 	}
 	if got := resp.Header.Get(HeaderNode); got != owner.ID {
 		t.Errorf("first run served by %q, ring owner is %q", got, owner.ID)
@@ -156,9 +148,9 @@ func TestClusterForwardAndCrossNodeCacheHit(t *testing.T) {
 		t.Error("first evaluation reported cached")
 	}
 
-	resp, body = postNode(t, tc.addrs[edges[1]], "/run", testRunReq, nil)
+	resp, body = postNode(t, tc.Addr(edges[1]), "/run", testRunReq, nil)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("second /run via %s: %d %s", tc.nodes[edges[1]].self.ID, resp.StatusCode, body)
+		t.Fatalf("second /run via %s: %d %s", tc.Nodes[edges[1]].self.ID, resp.StatusCode, body)
 	}
 	var second service.RunResponse
 	if err := json.Unmarshal(body, &second); err != nil {
@@ -172,12 +164,12 @@ func TestClusterForwardAndCrossNodeCacheHit(t *testing.T) {
 	}
 
 	for _, i := range edges {
-		if fwd, _, _ := tc.nodes[i].Counters(); fwd != 1 {
-			t.Errorf("edge node %s forwards = %d, want 1", tc.nodes[i].self.ID, fwd)
+		if fwd, _, _ := tc.Nodes[i].Counters(); fwd != 1 {
+			t.Errorf("edge node %s forwards = %d, want 1", tc.Nodes[i].self.ID, fwd)
 		}
 	}
-	ownerNode := tc.nodes[0]
-	for _, n := range tc.nodes {
+	ownerNode := tc.Nodes[0]
+	for _, n := range tc.Nodes {
 		if n.self.ID == owner.ID {
 			ownerNode = n
 		}
@@ -194,11 +186,11 @@ func TestClusterForwardAndCrossNodeCacheHit(t *testing.T) {
 func TestClusterPeerAuth(t *testing.T) {
 	tc := startCluster(t, 1, Options{PeerToken: "s3cret"})
 
-	resp, _ := postNode(t, tc.addrs[0], "/run", testRunReq, map[string]string{HeaderForwarded: "1"})
+	resp, _ := postNode(t, tc.Addr(0), "/run", testRunReq, map[string]string{HeaderForwarded: "1"})
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("forged forwarded flag: %d, want 403", resp.StatusCode)
 	}
-	resp, body := postNode(t, tc.addrs[0], "/run", testRunReq, map[string]string{
+	resp, body := postNode(t, tc.Addr(0), "/run", testRunReq, map[string]string{
 		HeaderForwarded: "1",
 		HeaderPeerToken: "s3cret",
 	})
@@ -222,7 +214,7 @@ func TestClusterSweepHealsAroundDeadNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := tc.nodes[0].Ring()
+	ring := tc.Nodes[0].Ring()
 	ownerCount := map[string]int{}
 	for _, k := range keys {
 		ownerCount[ring.Owner(k).ID]++
@@ -233,10 +225,10 @@ func TestClusterSweepHealsAroundDeadNode(t *testing.T) {
 
 	// Kill node 2 before the sweep: its sub-grids must be dispatched, fail,
 	// and be re-dispatched to the survivors.
-	tc.kill(2)
-	deadID := tc.nodes[2].self.ID
+	tc.Kill(2)
+	deadID := tc.Nodes[2].self.ID
 
-	resp, body := postNode(t, tc.addrs[0], "/sweep", sweep, nil)
+	resp, body := postNode(t, tc.Addr(0), "/sweep", sweep, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/sweep with a dead member: %d %s", resp.StatusCode, body)
 	}
@@ -248,39 +240,12 @@ func TestClusterSweepHealsAroundDeadNode(t *testing.T) {
 		t.Fatalf("sweep evaluated %d / failed %d of 12 points: %s", got.Evaluated, got.Failed, body)
 	}
 
-	// Single-node oracle on a fresh standalone server.
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	oracleSrv := service.NewServer(service.Options{Workers: 4, Logger: quiet})
-	defer oracleSrv.Drain(context.Background())
-	oracle, err := oracleSrv.EvalSweep(context.Background(), sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Points) != len(oracle.Points) {
-		t.Fatalf("cluster returned %d points, oracle %d", len(got.Points), len(oracle.Points))
-	}
-	for i := range oracle.Points {
-		a, b := oracle.Points[i], got.Points[i]
-		a.Cached, b.Cached = false, false
-		if a != b {
-			t.Errorf("point %d: oracle %+v vs cluster %+v", i, a, b)
-		}
-	}
-	if len(got.Pareto) != len(oracle.Pareto) {
-		t.Fatalf("merged Pareto has %d points, oracle %d", len(got.Pareto), len(oracle.Pareto))
-	}
-	for i := range oracle.Pareto {
-		a, b := oracle.Pareto[i], got.Pareto[i]
-		a.Cached, b.Cached = false, false
-		if a != b {
-			t.Errorf("Pareto point %d: oracle %+v vs cluster %+v", i, a, b)
-		}
-	}
+	checkSweepOracle(t, sweep, &got)
 
-	if tc.nodes[0].Ring().Has(deadID) {
+	if tc.Nodes[0].Ring().Has(deadID) {
 		t.Error("dead member still in the coordinator's ring view")
 	}
-	_, steals, peerErrs := tc.nodes[0].Counters()
+	_, steals, peerErrs := tc.Nodes[0].Counters()
 	if peerErrs < 1 {
 		t.Errorf("peerErrors = %d, want >= 1 (the dead node's dispatch must have failed)", peerErrs)
 	}
@@ -303,12 +268,12 @@ func TestClusterForwardClientCancelKeepsPeerAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := tc.nodes[0].Ring().Owner(key)
+	owner := tc.Nodes[0].Ring().Owner(key)
 	edge := 0
-	if tc.nodes[edge].self.ID == owner.ID {
+	if tc.Nodes[edge].self.ID == owner.ID {
 		edge = 1
 	}
-	tc.kill(1 - edge)
+	tc.Kill(1 - edge)
 
 	b, err := json.Marshal(testRunReq)
 	if err != nil {
@@ -316,7 +281,7 @@ func TestClusterForwardClientCancelKeepsPeerAlive(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, tc.addrs[edge]+"/run", bytes.NewReader(b))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, tc.Addr(edge)+"/run", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,10 +292,10 @@ func TestClusterForwardClientCancelKeepsPeerAlive(t *testing.T) {
 
 	// Let the server-side handler observe the cancellation and unwind.
 	time.Sleep(500 * time.Millisecond)
-	if !tc.nodes[edge].Ring().Has(owner.ID) {
+	if !tc.Nodes[edge].Ring().Has(owner.ID) {
 		t.Errorf("caller cancellation mid-forward marked peer %s dead", owner.ID)
 	}
-	if _, _, peerErrs := tc.nodes[edge].Counters(); peerErrs != 0 {
+	if _, _, peerErrs := tc.Nodes[edge].Counters(); peerErrs != 0 {
 		t.Errorf("peerErrors = %d after caller cancellation, want 0", peerErrs)
 	}
 }
@@ -352,16 +317,16 @@ func TestClusterSweepWeightedAdmission(t *testing.T) {
 		Scheme:   service.SchemeSpec{Name: "process"},
 		Grid:     service.SweepGrid{X: []int{2, 4}, P: []int{2, 4}, Chunk: []int64{1, 2, 4}},
 	}
-	resp, body := postNode(t, tc.addrs[0], "/sweep", sweep, map[string]string{HeaderTenant: "hot"})
+	resp, body := postNode(t, tc.Addr(0), "/sweep", sweep, map[string]string{HeaderTenant: "hot"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sweep within budget: %d %s", resp.StatusCode, body)
 	}
-	resp, _ = postNode(t, tc.addrs[0], "/run", testRunReq, map[string]string{HeaderTenant: "hot"})
+	resp, _ = postNode(t, tc.Addr(0), "/run", testRunReq, map[string]string{HeaderTenant: "hot"})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("/run after a 12-point sweep: %d, want 429 (sweeps must be charged by size)", resp.StatusCode)
 	}
 	// The sweep's work debt is the hot tenant's problem alone.
-	resp, body = postNode(t, tc.addrs[0], "/run", testRunReq, map[string]string{HeaderTenant: "cool"})
+	resp, body = postNode(t, tc.Addr(0), "/run", testRunReq, map[string]string{HeaderTenant: "cool"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cool tenant after hot tenant's sweep: %d %s", resp.StatusCode, body)
 	}
@@ -403,20 +368,20 @@ func TestClusterNoTokenWarning(t *testing.T) {
 // working — admission failures are tenant problems, not service problems.
 func TestClusterTenantShed(t *testing.T) {
 	tc := startCluster(t, 1, Options{Tenant: TenantPolicy{Rate: 0.001, Burst: 1}})
-	node := tc.nodes[0]
+	node := tc.Nodes[0]
 
-	resp, body := postNode(t, tc.addrs[0], "/run", testRunReq, map[string]string{HeaderTenant: "hot"})
+	resp, body := postNode(t, tc.Addr(0), "/run", testRunReq, map[string]string{HeaderTenant: "hot"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first hot request: %d %s", resp.StatusCode, body)
 	}
-	resp, _ = postNode(t, tc.addrs[0], "/run", testRunReq, map[string]string{HeaderTenant: "hot"})
+	resp, _ = postNode(t, tc.Addr(0), "/run", testRunReq, map[string]string{HeaderTenant: "hot"})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("hot tenant over budget: %d, want 429", resp.StatusCode)
 	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
 		t.Errorf("shed response Retry-After = %q, want a positive whole-second value", ra)
 	}
-	resp, body = postNode(t, tc.addrs[0], "/run", testRunReq, map[string]string{HeaderTenant: "cool"})
+	resp, body = postNode(t, tc.Addr(0), "/run", testRunReq, map[string]string{HeaderTenant: "cool"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cool tenant during hot shed: %d %s", resp.StatusCode, body)
 	}
@@ -424,7 +389,7 @@ func TestClusterTenantShed(t *testing.T) {
 		t.Errorf("breaker state = %v after tenant shedding, want closed", st)
 	}
 
-	metricsResp, err := http.Get(tc.addrs[0] + "/metrics")
+	metricsResp, err := http.Get(tc.Addr(0) + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,8 +405,8 @@ func TestClusterTenantShed(t *testing.T) {
 func TestClusterHealthz(t *testing.T) {
 	tc := startCluster(t, 3, Options{})
 
-	for i, n := range tc.nodes {
-		resp, err := http.Get(tc.addrs[i] + "/healthz")
+	for i, n := range tc.Nodes {
+		resp, err := http.Get(tc.Addr(i) + "/healthz")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,7 +428,7 @@ func TestClusterHealthz(t *testing.T) {
 		if hz.Node != n.self.ID {
 			t.Errorf("node %d healthz reports identity %q, want %q", i, hz.Node, n.self.ID)
 		}
-		if hz.RingVersion != tc.nodes[0].Ring().Version() {
+		if hz.RingVersion != tc.Nodes[0].Ring().Version() {
 			t.Errorf("node %d ring version %q diverges from node 0", i, hz.RingVersion)
 		}
 		if hz.RingMembers != 3 || len(hz.Peers) != 3 {
@@ -477,7 +442,7 @@ func TestClusterHealthz(t *testing.T) {
 	}
 
 	// Metrics expose the peer counters on every node.
-	resp, err := http.Get(tc.addrs[0] + "/metrics")
+	resp, err := http.Get(tc.Addr(0) + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -77,7 +76,7 @@ func TestSweepFenceRejectAndReplan(t *testing.T) {
 	}
 	ownerCount := map[string]int{}
 	for _, k := range keys {
-		ownerCount[tc.nodes[0].Ring().Owner(k).ID]++
+		ownerCount[tc.Nodes[0].Ring().Owner(k).ID]++
 	}
 	if len(ownerCount) != 3 {
 		t.Fatalf("grid's 12 keys spread over %d of 3 members (%v); enlarge the test grid", len(ownerCount), ownerCount)
@@ -86,7 +85,7 @@ func TestSweepFenceRejectAndReplan(t *testing.T) {
 	// Skew the views: the executor n1 has demoted n2, the coordinator n0
 	// still holds the full ring. No probes run, so nothing converges the
 	// views behind the test's back.
-	tc.nodes[1].demote("n2", causeDrain)
+	tc.Nodes[1].demote("n2", causeDrain)
 
 	b, err := json.Marshal(sweep)
 	if err != nil {
@@ -99,7 +98,7 @@ func TestSweepFenceRejectAndReplan(t *testing.T) {
 	}
 	outc := make(chan sweepOut, 1)
 	go func() {
-		resp, err := http.Post(tc.addrs[0]+"/sweep", "application/json", bytes.NewReader(b))
+		resp, err := http.Post(tc.Addr(0)+"/sweep", "application/json", bytes.NewReader(b))
 		if err != nil {
 			outc <- sweepOut{err: err}
 			return
@@ -112,10 +111,10 @@ func TestSweepFenceRejectAndReplan(t *testing.T) {
 	// Once the executor has fenced off at least one dispatch, converge the
 	// coordinator's view; its next plan carries a fence n1 agrees with.
 	waitFor(t, 5*time.Second, func() bool {
-		rejects, _ := tc.nodes[1].FenceStats()
+		rejects, _ := tc.Nodes[1].FenceStats()
 		return rejects >= 1
 	}, "executor to fence off a dispatch")
-	tc.nodes[0].demote("n2", causeDrain)
+	tc.Nodes[0].demote("n2", causeDrain)
 
 	out := <-outc
 	if out.err != nil {
@@ -132,44 +131,20 @@ func TestSweepFenceRejectAndReplan(t *testing.T) {
 		t.Fatalf("sweep evaluated %d / failed %d of 12 points: %s", got.Evaluated, got.Failed, out.body)
 	}
 
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	oracleSrv := service.NewServer(service.Options{Workers: 4, Logger: quiet})
-	defer oracleSrv.Drain(context.Background())
-	oracle, err := oracleSrv.EvalSweep(context.Background(), sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Points) != len(oracle.Points) || len(got.Pareto) != len(oracle.Pareto) {
-		t.Fatalf("cluster %d points / %d Pareto, oracle %d / %d",
-			len(got.Points), len(got.Pareto), len(oracle.Points), len(oracle.Pareto))
-	}
-	for i := range oracle.Points {
-		a, c := oracle.Points[i], got.Points[i]
-		a.Cached, c.Cached = false, false
-		if a != c {
-			t.Errorf("point %d: oracle %+v vs cluster %+v", i, a, c)
-		}
-	}
-	for i := range oracle.Pareto {
-		a, c := oracle.Pareto[i], got.Pareto[i]
-		a.Cached, c.Cached = false, false
-		if a != c {
-			t.Errorf("Pareto point %d: oracle %+v vs cluster %+v", i, a, c)
-		}
-	}
+	checkSweepOracle(t, sweep, &got)
 
-	if _, replans := tc.nodes[0].FenceStats(); replans < 1 {
+	if _, replans := tc.Nodes[0].FenceStats(); replans < 1 {
 		t.Errorf("coordinator replans = %d, want >= 1", replans)
 	}
 	// A fence reject is view skew, not peer death: the rejecting executor
 	// must stay in the coordinator's ring and count no peer errors.
-	if !tc.nodes[0].Ring().Has("n1") {
+	if !tc.Nodes[0].Ring().Has("n1") {
 		t.Error("coordinator demoted the fencing executor")
 	}
-	if _, _, peerErrs := tc.nodes[0].Counters(); peerErrs != 0 {
+	if _, _, peerErrs := tc.Nodes[0].Counters(); peerErrs != 0 {
 		t.Errorf("peerErrors = %d after fence rejects, want 0", peerErrs)
 	}
-	if m := getMetrics(t, tc.addrs[1]); !strings.Contains(m, "dsserve_ring_fence_rejects_total") {
+	if m := getMetrics(t, tc.Addr(1)); !strings.Contains(m, "dsserve_ring_fence_rejects_total") {
 		t.Error("metrics missing dsserve_ring_fence_rejects_total")
 	}
 }
@@ -179,8 +154,8 @@ func TestSweepFenceRejectAndReplan(t *testing.T) {
 // retryable 503 instead of coordinating against a view about to be retired.
 func TestDegradedNodeRefusesSweepCoordination(t *testing.T) {
 	tc := startCluster(t, 3, Options{})
-	tc.nodes[0].demote("n1", causeDrain)
-	tc.nodes[0].demote("n2", causeDrain)
+	tc.Nodes[0].demote("n1", causeDrain)
+	tc.Nodes[0].demote("n2", causeDrain)
 
 	sweep := service.SweepRequest{
 		Workload: service.WorkloadSpec{Name: "fig21", N: 24},
@@ -191,7 +166,7 @@ func TestDegradedNodeRefusesSweepCoordination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, tc.addrs[0]+"/sweep", bytes.NewReader(b))
+	req, err := http.NewRequest(http.MethodPost, tc.Addr(0)+"/sweep", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,9 +194,9 @@ func TestDegradedNodeRefusesSweepCoordination(t *testing.T) {
 // owned key has its configured replica count again.
 func TestAntiEntropyRepairsMissingReplica(t *testing.T) {
 	tc := startCluster(t, 3, Options{Replicas: 1, AntiEntropyInterval: -1})
-	full := tc.nodes[0].full
+	full := tc.Nodes[0].full
 	byID := map[string]*Node{}
-	for _, n := range tc.nodes {
+	for _, n := range tc.Nodes {
 		byID[n.self.ID] = n
 	}
 
@@ -231,12 +206,12 @@ func TestAntiEntropyRepairsMissingReplica(t *testing.T) {
 		return full.Owner(k).ID == "n0"
 	}, 6)
 	for _, e := range entries {
-		if err := tc.nodes[0].srv.ImportCacheEntry(e); err != nil {
+		if err := tc.Nodes[0].srv.ImportCacheEntry(e); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	rep := tc.nodes[0].AntiEntropyScan(context.Background())
+	rep := tc.Nodes[0].AntiEntropyScan(context.Background())
 	if rep.Owned != 6 || rep.Underreplicated != 6 || rep.Enqueued != 6 || rep.Unverifiable != 0 {
 		t.Fatalf("first scan: %+v, want 6 owned, 6 underreplicated, 6 enqueued", rep)
 	}
@@ -255,15 +230,15 @@ func TestAntiEntropyRepairsMissingReplica(t *testing.T) {
 		return true
 	}, "every repair push to land on its successor")
 
-	rep = tc.nodes[0].AntiEntropyScan(context.Background())
+	rep = tc.Nodes[0].AntiEntropyScan(context.Background())
 	if rep.Underreplicated != 0 || rep.Enqueued != 0 {
 		t.Fatalf("post-repair scan: %+v, want 0 underreplicated", rep)
 	}
-	scans, pushes, under := tc.nodes[0].AntiEntropyStats()
+	scans, pushes, under := tc.Nodes[0].AntiEntropyStats()
 	if scans < 2 || pushes != 6 || under != 0 {
 		t.Errorf("stats = (%d scans, %d pushes, %d under), want (>=2, 6, 0)", scans, pushes, under)
 	}
-	m := getMetrics(t, tc.addrs[0])
+	m := getMetrics(t, tc.Addr(0))
 	if !strings.Contains(m, "dsserve_antientropy_pushes_total 6") {
 		t.Error("metrics missing dsserve_antientropy_pushes_total 6")
 	}
@@ -278,7 +253,7 @@ func TestInternalBodyBounds413(t *testing.T) {
 	tc := startCluster(t, 2, Options{})
 	post := func(path string, body []byte) *http.Response {
 		t.Helper()
-		req, err := http.NewRequest(http.MethodPost, tc.addrs[0]+path, bytes.NewReader(body))
+		req, err := http.NewRequest(http.MethodPost, tc.Addr(0)+path, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,19 +324,19 @@ func TestGossipAsymmetricPartition(t *testing.T) {
 	})
 
 	waitFor(t, 5*time.Second, func() bool {
-		return tc.nodes[0].PeerState("n1") == "demoted" && tc.nodes[2].PeerState("n1") == "demoted"
+		return tc.Nodes[0].PeerState("n1") == "demoted" && tc.Nodes[2].PeerState("n1") == "demoted"
 	}, "n0 and n2 to demote unreachable n1")
 
-	v0, v2 := tc.nodes[0].Ring().Version(), tc.nodes[2].Ring().Version()
+	v0, v2 := tc.Nodes[0].Ring().Version(), tc.Nodes[2].Ring().Version()
 	if v0 != v2 {
 		t.Fatalf("majority ring versions diverge: n0=%s n2=%s", v0, v2)
 	}
-	if v1 := tc.nodes[1].Ring().Version(); v1 == v0 {
+	if v1 := tc.Nodes[1].Ring().Version(); v1 == v0 {
 		t.Fatal("n1 (which reaches everyone) should still hold the full ring")
 	}
-	if tc.nodes[1].PeerState("n0") != "alive" || tc.nodes[1].PeerState("n2") != "alive" {
+	if tc.Nodes[1].PeerState("n0") != "alive" || tc.Nodes[1].PeerState("n2") != "alive" {
 		t.Errorf("n1 peer states = %s/%s, want alive/alive (its outbound probes succeed)",
-			tc.nodes[1].PeerState("n0"), tc.nodes[1].PeerState("n2"))
+			tc.Nodes[1].PeerState("n0"), tc.Nodes[1].PeerState("n2"))
 	}
 
 	// A request through the isolated side must still complete: n1 forwards
@@ -375,19 +350,19 @@ func TestGossipAsymmetricPartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tc.nodes[1].full.Owner(k).ID != "n1" {
+		if tc.Nodes[1].full.Owner(k).ID != "n1" {
 			break
 		}
 	}
-	resp, body := postNode(t, tc.addrs[1], "/run", req, nil)
+	resp, body := postNode(t, tc.Addr(1), "/run", req, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/run through isolated n1: %d %s", resp.StatusCode, body)
 	}
 
-	if bh := tc.nodes[0].LinkCounts().BlackHoled; bh < 1 {
+	if bh := tc.Nodes[0].LinkCounts().BlackHoled; bh < 1 {
 		t.Errorf("n0 blackholed exchanges = %d, want >= 1", bh)
 	}
-	if m := getMetrics(t, tc.addrs[0]); !strings.Contains(m, `dsserve_link_faults_injected_total{kind="blackhole"}`) {
+	if m := getMetrics(t, tc.Addr(0)); !strings.Contains(m, `dsserve_link_faults_injected_total{kind="blackhole"}`) {
 		t.Error("metrics missing blackhole link-fault family")
 	}
 }
@@ -397,13 +372,13 @@ func TestGossipAsymmetricPartition(t *testing.T) {
 // entries re-target their next live successor and the drain exits promptly.
 func TestDrainHandoffSkipsDeadTarget(t *testing.T) {
 	tc := startCluster(t, 3, Options{})
-	full := tc.nodes[0].full
+	full := tc.Nodes[0].full
 
 	entries := syntheticEntries(t, func(k cache.Key) bool {
 		return full.Owner(k).ID == "n0"
 	}, 200)
 	for _, e := range entries {
-		if err := tc.nodes[0].srv.ImportCacheEntry(e); err != nil {
+		if err := tc.Nodes[0].srv.ImportCacheEntry(e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -427,12 +402,12 @@ func TestDrainHandoffSkipsDeadTarget(t *testing.T) {
 		t.Fatalf("entry spread %v; need n1 > one batch and n2 > 0 — reseed the synthetic keys", group)
 	}
 
-	tc.kill(1)
+	tc.Kill(1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	start := time.Now()
-	rep := tc.nodes[0].DrainHandoff(ctx)
+	rep := tc.Nodes[0].DrainHandoff(ctx)
 	elapsed := time.Since(start)
 
 	if elapsed > 5*time.Second {
@@ -455,7 +430,7 @@ func TestDrainHandoffSkipsDeadTarget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tc.nodes[2].srv.CacheHas(k) {
+		if tc.Nodes[2].srv.CacheHas(k) {
 			held++
 		}
 	}

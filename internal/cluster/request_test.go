@@ -47,13 +47,13 @@ func TestClusterOversizedBody413(t *testing.T) {
 		if wantCode != http.StatusRequestEntityTooLarge {
 			t.Fatalf("bare %s: %d %s", path, wantCode, wantBody)
 		}
-		for _, addr := range tc.addrs {
-			if code, body := send(addr + path); code != wantCode || body != wantBody {
-				t.Errorf("node %s%s: %d %s, want %d %s", addr, path, code, body, wantCode, wantBody)
+		for _, m := range tc.Members {
+			if code, body := send(m.Addr + path); code != wantCode || body != wantBody {
+				t.Errorf("node %s%s: %d %s, want %d %s", m.Addr, path, code, body, wantCode, wantBody)
 			}
 		}
 	}
-	if fwd, _, _ := tc.nodes[0].Counters(); fwd != 0 {
+	if fwd, _, _ := tc.Nodes[0].Counters(); fwd != 0 {
 		t.Errorf("an oversized request was forwarded %d times", fwd)
 	}
 }
@@ -84,9 +84,9 @@ func TestClusterVerifyMaxItersBounded(t *testing.T) {
 		if wantCode != http.StatusBadRequest || !strings.Contains(wantBody, "maxIters must be between 0 and 1024") {
 			t.Fatalf("bare maxIters=%s: %d %s", mx, wantCode, wantBody)
 		}
-		for _, addr := range tc.addrs {
-			if code, got := send(addr, body); code != wantCode || got != wantBody {
-				t.Errorf("node %s maxIters=%s: %d %s, want %d %s", addr, mx, code, got, wantCode, wantBody)
+		for _, m := range tc.Members {
+			if code, got := send(m.Addr, body); code != wantCode || got != wantBody {
+				t.Errorf("node %s maxIters=%s: %d %s, want %d %s", m.Addr, mx, code, got, wantCode, wantBody)
 			}
 		}
 	}
@@ -103,7 +103,7 @@ func TestClusterRunBytesMatchBareServer(t *testing.T) {
 	defer bareTS.Close()
 	for i := 0; i < 2; i++ {
 		_, want := postNode(t, bareTS.URL, "/run", testRunReq, nil)
-		resp, got := postNode(t, tc.addrs[0], "/run", testRunReq, nil)
+		resp, got := postNode(t, tc.Addr(0), "/run", testRunReq, nil)
 		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
 			t.Fatalf("request %d: node answered %d\n%s\nbare server\n%s", i, resp.StatusCode, got, want)
 		}

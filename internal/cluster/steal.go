@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -70,7 +69,7 @@ func (n *Node) coordinateSweep(w http.ResponseWriter, r *http.Request, inner htt
 		// to be retired. Keyed reads stay allowed — replicas make those
 		// safe — but cluster-wide coordination is refused.
 		w.Header().Set("Retry-After", "1")
-		n.writeError(w, http.StatusServiceUnavailable,
+		n.writeJSON(w, http.StatusServiceUnavailable,
 			fmt.Errorf("cluster: degraded node (%s) refuses to coordinate a cluster sweep; retry against the majority partition", reason))
 		return
 	}
@@ -80,7 +79,7 @@ func (n *Node) coordinateSweep(w http.ResponseWriter, r *http.Request, inner htt
 		// Answered as the handler would: 413 past the cap, 400 otherwise.
 		var de *service.DecodeError
 		errors.As(err, &de)
-		n.writeError(w, de.Code, err)
+		n.writeJSON(w, de.Code, err)
 		return
 	}
 	r.Body = io.NopCloser(bytes.NewReader(body))
@@ -210,12 +209,7 @@ func (n *Node) coordinateSweep(w http.ResponseWriter, r *http.Request, inner htt
 	// single node derives it — sub-grid fronts are never stitched together.
 	resp.Pareto = service.ParetoFront(resp.Points)
 
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(HeaderNode, n.self.ID)
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(resp)
+	n.writeJSON(w, http.StatusOK, resp)
 }
 
 // execute runs one worker per live member and waits for this plan to drain,

@@ -358,18 +358,8 @@ func (in *LinkInjector) PartitionActive() bool {
 // Example: 'seed=42,drop=link:0.05,partition=split:c/a+b:2000:8000'.
 func ParseLinkSpec(spec string) (LinkPlan, error) {
 	var p LinkPlan
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(item, "=")
-		if !ok {
-			return LinkPlan{}, fmt.Errorf("fault: %q is not key=value", item)
-		}
-		if err := p.applyLinkSpecItem(key, val); err != nil {
-			return LinkPlan{}, err
-		}
+	if err := eachSpecItem(spec, p.applyLinkSpecItem); err != nil {
+		return LinkPlan{}, err
 	}
 	if err := p.Check(); err != nil {
 		return LinkPlan{}, err
@@ -406,14 +396,14 @@ func (p *LinkPlan) applyLinkSpecItem(key, val string) error {
 			ep.Islands = append(ep.Islands, members)
 		}
 		if len(parts) >= 3 {
-			ms, err := strconv64(parts[2])
+			ms, err := strconv.ParseInt(parts[2], 10, 64)
 			if err != nil {
 				return fmt.Errorf("fault: partition %q startMS %q: %v", ep.Name, parts[2], err)
 			}
 			ep.StartMS = ms
 		}
 		if len(parts) == 4 {
-			ms, err := strconv64(parts[3])
+			ms, err := strconv.ParseInt(parts[3], 10, 64)
 			if err != nil {
 				return fmt.Errorf("fault: partition %q healMS %q: %v", ep.Name, parts[3], err)
 			}
@@ -425,5 +415,3 @@ func (p *LinkPlan) applyLinkSpecItem(key, val string) error {
 		return fmt.Errorf("fault: unknown link spec key %q", key)
 	}
 }
-
-func strconv64(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) }

@@ -25,19 +25,8 @@ import (
 // Example: 'drop=bus:0.01,delay=bus:0.05:6,seed=42'.
 func ParseSpec(spec string) (Plan, error) {
 	var p Plan
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(item, "=")
-		if !ok {
-			return Plan{}, fmt.Errorf("fault: %q is not key=value", item)
-		}
-		parts := strings.Split(val, ":")
-		if err := p.applySpecItem(key, parts); err != nil {
-			return Plan{}, err
-		}
+	if err := eachSpecItem(spec, p.applySpecItem); err != nil {
+		return Plan{}, err
 	}
 	if err := p.Check(); err != nil {
 		return Plan{}, err
@@ -45,7 +34,28 @@ func ParseSpec(spec string) (Plan, error) {
 	return p, nil
 }
 
-func (p *Plan) applySpecItem(key string, parts []string) error {
+// eachSpecItem tokenizes the key=value,... mini-language shared by
+// ParseSpec and ParseLinkSpec: items are comma-separated and trimmed, empty
+// items are skipped, and apply sees each item's key and raw value.
+func eachSpecItem(spec string, apply func(key, val string) error) error {
+	for _, item := range strings.Split(spec, ",") {
+		item = strings.TrimSpace(item)
+		if item == "" {
+			continue
+		}
+		key, val, ok := strings.Cut(item, "=")
+		if !ok {
+			return fmt.Errorf("fault: %q is not key=value", item)
+		}
+		if err := apply(key, val); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (p *Plan) applySpecItem(key, val string) error {
+	parts := strings.Split(val, ":")
 	switch key {
 	case "seed":
 		return specInt(key, parts, 1, &p.Seed)

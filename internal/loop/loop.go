@@ -108,8 +108,8 @@ func (n *Nest) Extents() []int64 {
 // processes after full coalescing).
 func (n *Nest) Iterations() int64 {
 	total := int64(1)
-	for _, e := range n.Extents() {
-		total *= e
+	for _, ix := range n.Indexes {
+		total *= ix.Extent()
 	}
 	return total
 }

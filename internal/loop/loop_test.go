@@ -67,6 +67,20 @@ func TestLpidRoundTripNonUnitLo(t *testing.T) {
 	}
 }
 
+// TestIndexOfAllocs: IndexOf's range check allocates nothing; the index
+// vector it returns is its one allocation (every scheme's per-iteration op
+// builder calls it).
+func TestIndexOfAllocs(t *testing.T) {
+	n := MustNew([]Index{{"I", 2, 6}, {"J", 3, 7}, {"K", 0, 2}}, nil)
+	var idx []int64
+	if allocs := testing.AllocsPerRun(100, func() { idx = n.IndexOf(40) }); allocs != 1 {
+		t.Errorf("IndexOf allocates %v times per call, want 1", allocs)
+	}
+	if n.LpidOf(idx) != 40 {
+		t.Errorf("IndexOf(40) = %v does not round-trip", idx)
+	}
+}
+
 func TestLpidPanics(t *testing.T) {
 	n := MustNew([]Index{{"I", 1, 3}}, nil)
 	for _, bad := range []int64{0, 4, -1} {
